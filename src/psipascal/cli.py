@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -27,6 +28,11 @@ from .sequences import AdmissibilityError, from_selector
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
+
+# argparse reads a value such as "-5/7" or "-q" as an option, so a negative
+# scalar given after --x/--y is attached to its option before parsing
+_SCALAR_OPTIONS = ("--x", "--y")
+_NEGATIVE_SCALAR = re.compile(r"-[0-9q]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,9 +204,20 @@ def _cmd_suite(args) -> int:
     return 0 if result.healthy else _CHECK_FAILED
 
 
+def _attach_negative_scalars(argv: list[str]) -> list[str]:
+    """Rewrite "--x -5/7" as "--x=-5/7"; every other argument is kept as is."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SCALAR_OPTIONS and _NEGATIVE_SCALAR.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_scalars(sys.argv[1:] if argv is None else argv))
     handlers = {"seq": _cmd_seq, "gen": _cmd_gen, "check": _cmd_check, "suite": _cmd_suite}
     try:
         return handlers[args.command](args)

@@ -142,6 +142,52 @@ class TestCheck:
         assert "sequence" in err
 
 
+class TestNegativeScalars:
+    """A value of --x/--y that starts with '-' is a scalar, not an option."""
+
+    @pytest.mark.parametrize("value", ["-1/2", "-q", "-1/2 + q", "-3*q^2 - 1"])
+    def test_gen_x_separate_matches_equals_form(self, capsys, value):
+        argv = ["gen", "pascal", "-s", "classical", "-n", "4", "-f", "csv"]
+        code, out, err = run_main(capsys, *argv, "--x", value)
+        assert code == 0, err
+        assert run_main(capsys, *argv, f"--x={value}")[:2] == (code, out)
+
+    def test_gen_negative_rational(self, capsys):
+        code, out, _ = run_main(capsys, "gen", "pascal", "-s", "classical", "-n", "3", "--x", "-1/2", "-f", "csv")
+        assert code == 0
+        assert out == "1\n-1/2,1\n1/4,-1,1\n"
+
+    def test_gen_negative_rational_function(self, capsys):
+        code, out, _ = run_main(capsys, "gen", "pascal", "-s", "classical", "-n", "2", "--x", "-q", "-f", "csv")
+        assert code == 0
+        assert out == "1\n(-q)/(1),1\n"
+
+    @pytest.mark.parametrize(
+        "x, y, echo",
+        [
+            ("2/3", "-5/7", "x=2/3 y=-5/7"),
+            ("-5/7", "2/3", "x=-5/7 y=2/3"),
+            ("-q", "-1/3", "x=(-q)/(1) y=-1/3"),
+        ],
+    )
+    def test_check_x_and_y(self, capsys, x, y, echo):
+        argv = ["check", "eq11-basic", "-s", "q", "-n", "3"]
+        code, out, err = run_main(capsys, *argv, "--x", x, "--y", y)
+        assert code == 0, err
+        assert f"params: sequence=q n=3 {echo}\n" in out
+        assert run_main(capsys, *argv, f"--x={x}", f"--y={y}")[:2] == (code, out)
+
+    def test_missing_value_is_still_a_usage_error(self):
+        result = run_subprocess("check", "eq11-basic", "-s", "q", "--y", "-n", "3")
+        assert result.returncode == 2
+        assert "expected one argument" in result.stderr
+
+    def test_subprocess_negative_y(self):
+        result = run_subprocess("check", "eq11-basic", "-s", "q", "-n", "2", "--y", "-5/7")
+        assert result.returncode == 0, result.stderr
+        assert "y=-5/7" in result.stdout
+
+
 class TestSuiteCommand:
     def test_quick_suite_is_healthy(self, capsys):
         code, out, _ = run_main(capsys, "suite", "--profile", "quick", "-f", "json")

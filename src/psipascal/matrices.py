@@ -5,6 +5,10 @@ Lower-triangular matrices store only the triangle (row i holds i+1 entries);
 the symmetric binomial ("Fermat") matrix and transposes are dense squares.
 All matrices are immutable; entries are exact scalars from one of the two
 field domains, with rationals promoting to rational functions on contact.
+Products, scaling and sums are formed over nonzero entries only, so powers
+of the subdiagonal generator cost in proportion to their single nonzero
+diagonal; their results are built without re-coercing entries that already
+belong to the result field.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .scalars import (
     RationalFunction,
     Scalar,
     ScalarField,
+    field_of,
     scalar_to_latex,
     scalar_to_string,
 )
@@ -60,23 +65,28 @@ def _entries_field(entry_rows, declared: Optional[ScalarField]) -> ScalarField:
     return RATIONAL_FIELD
 
 
-class LowerTriMatrix:
-    """Square lower-triangular matrix; entries above the diagonal are implicit zeros."""
+def _coerce_rows(rows, field: ScalarField) -> tuple:
+    # each row is built as a list first: tuple(<generator>) over-allocates
+    # and resizes, which fills CPython's per-length tuple free lists
+    return tuple([tuple([field.coerce(v) for v in row]) for row in rows])
 
-    __slots__ = ("_rows", "_field")
 
-    def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
-        rows = [list(r) for r in rows]
-        for i, row in enumerate(rows):
-            if len(row) != i + 1:
-                raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-        fld = _entries_field(rows, field)
-        self._rows = tuple(tuple(fld.coerce(v) for v in row) for row in rows)
-        self._field = fld
+class _Matrix:
+    """Storage shared by both shapes: immutable rows of scalars of one field.
+
+    ``_nonzero`` caches, per row, the list of (column, entry) pairs with a
+    nonzero entry; products, scaling and sums walk those pairs only.
+    """
+
+    __slots__ = ("_rows", "_field", "_nonzero")
 
     @classmethod
-    def identity(cls, n: int, field: ScalarField = RATIONAL_FIELD) -> "LowerTriMatrix":
-        return cls([[0] * i + [1] for i in range(n)], field)
+    def _make(cls, rows: tuple, field: ScalarField, nonzero: Optional[list] = None):
+        # trusted constructor: rows are tuples of the right shape whose
+        # entries already have the type of ``field``; nothing is re-coerced
+        obj = object.__new__(cls)
+        obj._rows, obj._field, obj._nonzero = rows, field, nonzero
+        return obj
 
     @property
     def size(self) -> int:
@@ -90,49 +100,20 @@ class LowerTriMatrix:
     def rows(self) -> tuple:
         return self._rows
 
-    def entry(self, i: int, j: int) -> Scalar:
-        if j > i:
-            return self._field.zero
-        return self._rows[i][j]
+    def _nonzero_rows(self) -> list:
+        if self._nonzero is None:
+            self._nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in self._rows]
+        return self._nonzero
 
     @property
     def is_zero(self) -> bool:
-        return all(not v for row in self._rows for v in row)
-
-    @property
-    def has_zero_diagonal(self) -> bool:
-        return all(not row[i] for i, row in enumerate(self._rows))
-
-    def scale(self, value) -> "LowerTriMatrix":
-        return LowerTriMatrix([[v * value for v in row] for row in self._rows])
-
-    def __add__(self, other):
-        if not isinstance(other, LowerTriMatrix) or other.size != self.size:
-            return NotImplemented
-        return LowerTriMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
+        return not any(self._nonzero_rows())
 
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def transpose(self) -> "SquareMatrix":
-        n = self.size
-        return SquareMatrix(
-            [[self.entry(j, i) for j in range(n)] for i in range(n)], self._field
-        )
-
-    def to_square(self) -> "SquareMatrix":
-        n = self.size
-        return SquareMatrix(
-            [[self.entry(i, j) for j in range(n)] for i in range(n)], self._field
-        )
-
     def __eq__(self, other):
-        if isinstance(other, (LowerTriMatrix, SquareMatrix)):
+        if isinstance(other, _Matrix):
             return _same_entries(self, other)
         return NotImplemented
 
@@ -140,13 +121,79 @@ class LowerTriMatrix:
         return _entries_hash(self)
 
     def __repr__(self):
-        return f"<LowerTriMatrix {self.size}x{self.size} over {self._field.name}>"
+        return f"<{type(self).__name__} {self.size}x{self.size} over {self._field.name}>"
 
 
-class SquareMatrix:
+class LowerTriMatrix(_Matrix):
+    """Square lower-triangular matrix; entries above the diagonal are implicit zeros."""
+
+    __slots__ = ()
+
+    def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
+        rows = [list(r) for r in rows]
+        for i, row in enumerate(rows):
+            if len(row) != i + 1:
+                raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
+        fld = _entries_field(rows, field)
+        self._rows, self._field, self._nonzero = _coerce_rows(rows, fld), fld, None
+
+    @classmethod
+    def identity(cls, n: int, field: ScalarField = RATIONAL_FIELD) -> "LowerTriMatrix":
+        zero, one = field.zero, field.one
+        rows = tuple([tuple([zero] * i + [one]) for i in range(n)])
+        return cls._make(rows, field, [[(i, one)] for i in range(n)])
+
+    def entry(self, i: int, j: int) -> Scalar:
+        if j > i:
+            return self._field.zero
+        return self._rows[i][j]
+
+    @property
+    def has_zero_diagonal(self) -> bool:
+        return all(not row[i] for i, row in enumerate(self._rows))
+
+    def scale(self, value) -> "LowerTriMatrix":
+        fld = self._field.join(field_of(value))
+        zero = fld.zero
+        rows, nonzero = [], []
+        for row, pairs in zip(self._rows, self._nonzero_rows()):
+            # a field has no zero divisors: the nonzero pattern is kept
+            pairs = [(j, v * value) for j, v in pairs] if value else []
+            out = [zero] * len(row)
+            for j, v in pairs:
+                out[j] = v
+            rows.append(tuple(out))
+            nonzero.append(pairs)
+        return LowerTriMatrix._make(tuple(rows), fld, nonzero)
+
+    def __add__(self, other):
+        if not isinstance(other, LowerTriMatrix) or other.size != self.size:
+            return NotImplemented
+        fld = self._field.join(other._field)
+        # only an operand over Q added to one over Q(q) needs coercing
+        mine = self._rows if self._field is fld else _coerce_rows(self._rows, fld)
+        theirs = other._nonzero_rows()
+        if other._field is not fld:
+            theirs = [[(j, fld.coerce(v)) for j, v in pairs] for pairs in theirs]
+        rows = []
+        for row, pairs in zip(mine, theirs):
+            out = list(row)
+            for j, v in pairs:
+                out[j] = out[j] + v if out[j] else v
+            rows.append(tuple(out))
+        return LowerTriMatrix._make(tuple(rows), fld)
+
+    def transpose(self) -> "SquareMatrix":
+        n = self.size
+        return SquareMatrix(
+            [[self.entry(j, i) for j in range(n)] for i in range(n)], self._field
+        )
+
+
+class SquareMatrix(_Matrix):
     """Dense square matrix over an exact scalar field."""
 
-    __slots__ = ("_rows", "_field")
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
         rows = [list(r) for r in rows]
@@ -155,47 +202,16 @@ class SquareMatrix:
             if len(row) != n:
                 raise ValueError(f"row {i} must have {n} entries, got {len(row)}")
         fld = _entries_field(rows, field)
-        self._rows = tuple(tuple(fld.coerce(v) for v in row) for row in rows)
-        self._field = fld
-
-    @property
-    def size(self) -> int:
-        return len(self._rows)
-
-    @property
-    def field(self) -> ScalarField:
-        return self._field
-
-    @property
-    def rows(self) -> tuple:
-        return self._rows
+        self._rows, self._field, self._nonzero = _coerce_rows(rows, fld), fld, None
 
     def entry(self, i: int, j: int) -> Scalar:
         return self._rows[i][j]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not v for row in self._rows for v in row)
 
     def transpose(self) -> "SquareMatrix":
         n = self.size
         return SquareMatrix(
             [[self._rows[j][i] for j in range(n)] for i in range(n)], self._field
         )
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __eq__(self, other):
-        if isinstance(other, (LowerTriMatrix, SquareMatrix)):
-            return _same_entries(self, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return _entries_hash(self)
-
-    def __repr__(self):
-        return f"<SquareMatrix {self.size}x{self.size} over {self._field.name}>"
 
 
 def _same_entries(a, b) -> bool:
@@ -213,43 +229,40 @@ def _entries_hash(a) -> int:
 
 
 def matmul(a, b):
-    """Exact matrix product; triangular times triangular stays triangular."""
+    """Exact matrix product, formed row by row over nonzero entries only.
+
+    For each nonzero a[i][k], a[i][k] * b[k][j] is added into row i for each
+    nonzero b[k][j] (Gustavson's row-wise product), so the cost follows the
+    nonzeros rather than n^3.  Each entry sums its terms in ascending k, as
+    the dense triple loop does.  Triangular times triangular stays triangular;
+    every other shape gives a dense square.
+    """
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
     n = a.size
-    zero = a.field.join(b.field).zero
-    if isinstance(a, LowerTriMatrix) and isinstance(b, LowerTriMatrix):
-        rows = []
-        for i in range(n):
-            arow = a.rows[i]
-            out = []
-            for j in range(i + 1):
-                acc = zero
-                for k in range(j, i + 1):
-                    av = arow[k]
-                    if not av:
-                        continue
-                    bv = b.rows[k][j]
-                    if bv:
-                        acc = acc + av * bv
-                out.append(acc)
-            rows.append(out)
-        return LowerTriMatrix(rows)
-    rows = []
-    for i in range(n):
-        out = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                av = a.entry(i, k)
-                if not av:
-                    continue
-                bv = b.entry(k, j)
-                if bv:
-                    acc = acc + av * bv
-            out.append(acc)
-        rows.append(out)
-    return SquareMatrix(rows)
+    field = a.field.join(b.field)
+    zero = field.zero
+    lower = isinstance(a, LowerTriMatrix) and isinstance(b, LowerTriMatrix)
+    b_rows = b._nonzero_rows()
+    rows, nonzero = [], []
+    for i, pairs in enumerate(a._nonzero_rows()):
+        out = [zero] * (i + 1 if lower else n)
+        touched = []
+        for k, av in pairs:
+            for j, bv in b_rows[k]:
+                # a product already has the result field's type: at least one
+                # factor does, and Q(q) absorbs Q
+                acc = out[j]
+                if acc is zero:
+                    out[j] = av * bv
+                    touched.append(j)
+                else:
+                    out[j] = acc + av * bv
+        rows.append(tuple(out))
+        # only touched entries can be nonzero; a sum may still cancel to 0
+        touched.sort()
+        nonzero.append([(j, out[j]) for j in touched if out[j]])
+    return (LowerTriMatrix if lower else SquareMatrix)._make(tuple(rows), field, nonzero)
 
 
 def transpose(matrix):

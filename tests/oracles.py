@@ -82,6 +82,25 @@ def q_integer(n: int, q0: Fraction) -> Fraction:
     return sum((Fraction(q0) ** t for t in range(n)), Fraction(0))
 
 
+def mat_mul(a, b):
+    """Dense triple-loop product of square matrices given as lists of rows.
+
+    Every index triple is visited, zeros included; the entries are summed
+    over k in ascending order.
+    """
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Fraction(0)
+            for k in range(n):
+                acc += Fraction(a[i][k]) * Fraction(b[k][j])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 __all__ = [
     "comb",
     "fib",
@@ -92,4 +111,5 @@ __all__ = [
     "poly_eval",
     "gaussian_binomial",
     "q_integer",
+    "mat_mul",
 ]

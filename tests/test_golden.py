@@ -1,9 +1,10 @@
-"""Pinned stdout digests of small symbolic commands.
+"""Pinned stdout digests and exit codes of small commands.
 
-The digests were recorded once from the reference implementation of the
-polynomial kernel and are never re-recorded: a kernel rewrite must
-reproduce every byte, so any drift in the canonical form of a rational
-function or in its rendering fails here.
+The digests were recorded once from the reference implementations of the
+polynomial kernel and of the matrix layer and are never re-recorded: a
+rewrite of either must reproduce every byte, so any drift in the canonical
+form of a rational function, in its rendering, in a matrix product or in
+the location of a counterexample fails here.
 """
 
 import hashlib
@@ -15,45 +16,87 @@ import pytest
 GOLDEN = [
     (
         ["check", "eq4", "-s", "q", "-n", "12"],
+        0,
         51,
         "7f015f5c6e7f0dff6e2c22f19e1141a5272ae2196356c8cd3a275c746cda73ae",
     ),
     (
         ["check", "eq11-basic", "-s", "q", "-n", "10", "--x=523/607", "--y=-541/613"],
+        0,
         79,
         "b524c376ca61308de28c930362fd67f4cc577a9ba117d8695bf2ad69cbce687b",
     ),
     (
         ["check", "eq8", "-s", "qhat-power:q", "--i", "4", "--j", "4", "-m", "6"],
+        0,
         69,
         "51129920fa14d5ca72e1a82090677babbc8aca2e0c378fc345978a77c2ed1a5c",
     ),
     (
         ["gen", "pascal", "-s", "q", "-n", "8", "--x=2/3"],
+        0,
         1657,
         "884c601404cd8022d8419223b89550268dadb7c90e1c26035d1eb522fd31b171",
     ),
     (
         ["gen", "pascal", "-s", "q", "-n", "6", "--x=(2 + q)/(3 - 5*q^2)", "-f", "json"],
+        0,
         1720,
         "c7f047498b5305d742802b208b3afef3f8439bc0766237d2e7ef46ebec5ce09a",
     ),
     (
         ["gen", "pascal", "-s", "classical", "-n", "6", "--x=(1 - 2*q)/(4 + 6*q)", "-f", "latex"],
+        0,
         1773,
         "aa1283f823d1dbeb6b893bbb72fb3c54caea909cf7b58015a8cc785eca8164e9",
     ),
     (
         ["seq", "-s", "q", "-n", "9"],
+        0,
         2618,
         "765ccaea5f318eb996cddfccd907288995e8e0411fa0a214e538ad50f9939e56",
+    ),
+    # matrix layer: products with the generator, default points include q itself
+    (
+        ["check", "exp-vs-closed", "-s", "q", "-n", "6"],
+        0,
+        82,
+        "c64e8606febe1f3f089114b81572b73cee232c500a33facdaee62ae3f75ceb93",
+    ),
+    (
+        ["check", "nilpotent", "-s", "fibonomial", "-n", "12"],
+        0,
+        66,
+        "b1624f4921b871a05b7da39b71c7703850b394c6a9be00987fff70687632eb93",
+    ),
+    # an expected failure through the lower x square product: pins the
+    # counterexample location and the exit code
+    (
+        ["check", "eq6", "-s", "q", "-n", "6"],
+        1,
+        99,
+        "e859f78d1f408756e1b357a49c50244f3d39bef20cfc2a271b35d430c9e06c1a",
+    ),
+    (
+        ["check", "semigroup", "-s", "q=2", "-n", "8", "--x=3/5", "--y=-7/11"],
+        0,
+        72,
+        "3f4c96f1aecf5c49d0afdd3bce338d077bb10d20198a46e33ac49b854331b082",
+    ),
+    (
+        ["gen", "fermat", "-s", "q", "-n", "5", "-f", "json"],
+        0,
+        1207,
+        "bc66e1c609809629f80115cf283a6738ff7748ef9c1e187bb4591a14be90bf97",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, size, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-def test_stdout_matches_pinned_digest(argv, size, digest):
+@pytest.mark.parametrize(
+    "argv, exit_code, size, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN]
+)
+def test_stdout_matches_pinned_digest(argv, exit_code, size, digest):
     proc = subprocess.run([sys.executable, "-m", "psipascal", *argv], capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == exit_code, proc.stderr.decode()
     assert len(proc.stdout) == size
     assert hashlib.sha256(proc.stdout).hexdigest() == digest

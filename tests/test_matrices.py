@@ -32,6 +32,7 @@ from psipascal import (
     q,
     q_numeric,
     q_symbolic,
+    run_identity,
     transpose,
 )
 
@@ -368,3 +369,44 @@ class TestSerialization:
         doc = matrix_document("fermat", seq, fermat(seq, 3))
         parsed = MatrixDocument.from_json(doc.to_json())
         assert parsed.entries[1][1] == "(1 + q)/(1)"
+
+
+class TestCorruptedMemo:
+    """A corrupted sequence memo must surface through the matrix path.
+
+    The counterexamples were recorded from the dense reference product, so
+    they also pin that the sparse product reports the same smallest one.
+    """
+
+    @staticmethod
+    def perturbed_factorial():
+        seq = fibonomial()
+        seq.factorial(10)
+        seq._facts[5] = seq._facts[5] * 2
+        return seq
+
+    @staticmethod
+    def zeroed_integer():
+        seq = fibonomial()
+        seq.integer(7)
+        seq._ints[7] = seq.field.zero
+        return seq
+
+    def test_perturbed_factorial_fails_exp_vs_closed(self):
+        report = run_identity("exp-vs-closed", {"sequence": self.perturbed_factorial(), "n": 10})
+        ce = report.counterexample
+        assert not report.passed
+        assert (ce.location, ce.lhs, ce.rhs) == ((5, 0), "(1/2*q^5)/(1)", "(q^5)/(1)")
+        assert ce.detail == "instance sequence=fibonomial n=6 x=(q)/(1)"
+        direct = check_exp_vs_closed(self.perturbed_factorial(), 10, Fraction(-3, 2))
+        ce = direct.counterexample
+        assert (ce.location, ce.lhs, ce.rhs) == ((5, 0), "-243/64", "-243/32")
+
+    def test_zeroed_integer_fails_nilpotent(self):
+        report = run_identity("nilpotent", {"sequence": self.zeroed_integer(), "n": 12})
+        ce = report.counterexample
+        assert not report.passed
+        assert (ce.location, ce.lhs, ce.rhs, ce.detail) == ((7,), "0", "nonzero", "K^7 vanished")
+        direct = check_nilpotency(self.zeroed_integer(), 12)
+        ce = direct.counterexample
+        assert (ce.location, ce.detail) == ((11,), "K^11 vanished")

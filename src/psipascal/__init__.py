@@ -74,7 +74,6 @@ from .matrices import (
     matrix_to_latex,
     pascal_closed,
     psi_exp_nilpotent,
-    transpose,
 )
 from .report import Counterexample, IdentityReport
 from .engine import (

@@ -23,7 +23,7 @@ from .matrices import (
     matrix_to_latex,
     pascal_closed,
 )
-from .scalars import ScalarParseError, parse_rational_function, scalar_to_string
+from .scalars import ScalarParseError, scalar_to_string
 from .sequences import AdmissibilityError, from_selector
 
 _USAGE_ERROR = 2
@@ -87,16 +87,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _parse_x(seq, text: str):
-    """Parse --x in the sequence's own domain, widening to Q(q) if needed."""
-    try:
-        return seq.field.parse(text)
-    except ScalarParseError:
-        if not seq.field.symbolic:
-            return parse_rational_function(text)
-        raise
-
-
 def _cmd_seq(args) -> int:
     seq = from_selector(args.sequence)
     n = args.size
@@ -144,7 +134,7 @@ def _cmd_gen(args) -> int:
     seq = from_selector(args.sequence)
     n = args.size
     if args.kind == "pascal":
-        x = _parse_x(seq, args.x if args.x is not None else "1")
+        x = seq.field.parse(args.x if args.x is not None else "1")
         matrix = pascal_closed(seq, n, x)
         document = matrix_document("pascal", seq, matrix, x)
     else:

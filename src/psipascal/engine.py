@@ -11,15 +11,18 @@ an identity covers every instance up to those bounds and reports the
 lexicographically smallest counterexample.  Reports are byte-stable across
 runs: parameters are echoed canonically and wall time never enters the
 serialized form.
+
+Each identity is one `IdentitySpec` row of data.  One resolver reads the
+parameters of every row, and one loop, `_sweep`, runs every row's instances.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import matrices, operators, polynomials
 from .report import Counterexample, IdentityReport
@@ -67,14 +70,32 @@ class InvalidParamsError(ValueError):
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One registered identity: id, human statement, schema and expectations."""
+    """One registered identity as data: schema, expectations, bounds, instances.
+
+    ``quick`` holds the quick-profile bounds, which are also the defaults of
+    the integer parameters, and ``full`` the full-profile bounds;
+    ``full_caps`` lowers the full bounds for single families and
+    ``extra_runs`` adds (family, selector) suite entries.  ``instances``
+    takes the resolved parameters in schema order and yields the instance
+    reports in lexicographic order of their locations.  A ``single``
+    identity is one check, so its counterexample needs no instance detail.
+    ``n_min`` is the least accepted n.  ``points`` is (echo name, default
+    list) when x is a list of points rather than one scalar.
+    """
 
     id: str
     title: str
     param_keys: tuple[str, ...]
     families: tuple[str, ...]
     expected: Mapping[str, str]
-    runner: Callable[[dict], IdentityReport]
+    quick: Mapping[str, int]
+    full: Mapping[str, int]
+    instances: Callable[..., Iterable[IdentityReport]]
+    single: bool = False
+    n_min: int = 1
+    points: tuple = ()
+    full_caps: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    extra_runs: tuple[tuple[str, str], ...] = ()
 
     def expectation(self, family: str) -> str:
         return self.expected.get(family, INFORMATIVE)
@@ -84,36 +105,39 @@ class IdentitySpec:
 # parameter handling
 # ---------------------------------------------------------------------------
 
+# selector parameters: accepted object type, string parser, hint when the
+# parameter is missing, and the prefix the suite puts before a selector
+_SELECTORS = {
+    "sequence": (AdmissibleSequence, from_selector, "", ""),
+    "operator": (
+        operators.DiagOperator,
+        operators.operator_from_selector,
+        " (a qhat-... selector)",
+        "qhat-paper:",
+    ),
+}
 
-def _sequence_param(params: dict) -> AdmissibleSequence:
-    value = params.get("sequence")
+# default generic scalar arguments for checks that need points
+_DEFAULT_SCALARS = {"x": Fraction(2), "y": Fraction(-1, 2)}
+_DEFAULT_POINTS = (Fraction(1), Fraction(2), Fraction(-3, 2))
+
+
+def _selector_param(params: dict, key: str):
+    kind, parse, hint, _ = _SELECTORS[key]
+    value = params.get(key)
     if value is None:
-        raise InvalidParamsError("missing parameter 'sequence'")
-    if isinstance(value, AdmissibleSequence):
+        raise InvalidParamsError(f"missing parameter {key!r}{hint}")
+    if isinstance(value, kind):
         return value
     if isinstance(value, str):
         try:
-            return from_selector(value)
+            return parse(value)
         except ValueError as exc:
             raise InvalidParamsError(str(exc)) from exc
-    raise InvalidParamsError(f"'sequence' must be a selector string, got {value!r}")
+    raise InvalidParamsError(f"{key!r} must be a selector string, got {value!r}")
 
 
-def _operator_param(params: dict) -> operators.DiagOperator:
-    value = params.get("operator")
-    if value is None:
-        raise InvalidParamsError("missing parameter 'operator' (a qhat-... selector)")
-    if isinstance(value, operators.DiagOperator):
-        return value
-    if isinstance(value, str):
-        try:
-            return operators.operator_from_selector(value)
-        except ValueError as exc:
-            raise InvalidParamsError(str(exc)) from exc
-    raise InvalidParamsError(f"'operator' must be a selector string, got {value!r}")
-
-
-def _int_param(params: dict, key: str, default: int, minimum: int = 0) -> int:
+def _int_param(params: dict, key: str, default: int, minimum: int) -> int:
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParamsError(f"parameter {key!r} must be an integer, got {value!r}")
@@ -122,241 +146,77 @@ def _int_param(params: dict, key: str, default: int, minimum: int = 0) -> int:
     return value
 
 
-def _scalar_param(params: dict, key: str, seq: AdmissibleSequence, default):
+def _scalar_param(params: dict, key: str, seq: AdmissibleSequence):
     value = params.get(key)
-    if value is None:
-        return default
+    if value is None or isinstance(value, (int, Fraction, RationalFunction)):
+        return value
     if isinstance(value, str):
         try:
             return seq.field.parse(value)
         except ValueError as exc:
             raise InvalidParamsError(f"parameter {key!r}: {exc}") from exc
-    if isinstance(value, (int, Fraction, RationalFunction)):
-        return value
     raise InvalidParamsError(f"parameter {key!r} must be a scalar, got {value!r}")
 
 
-def _sweep(identity: str, params: dict, instances) -> IdentityReport:
-    """Run the instance reports in order; keep the first failure, else pass.
+def _resolve(spec: IdentitySpec, params: dict) -> tuple[list, dict]:
+    """Parse the parameters in schema order into values and their canonical echo."""
+    values, echo = [], {}
+    for key in spec.param_keys:
+        if key in _SELECTORS:
+            value = _selector_param(params, key)
+            text = value.selector
+            # identities stated only for the q families need the sequence's q
+            if spec.families == _Q_FAMILIES and value.q_scalar is None:
+                raise InvalidParamsError(f"{spec.id} needs a q-analog sequence, got {text!r}")
+        elif key in _DEFAULT_SCALARS:
+            value = _scalar_param(params, key, values[0])
+            if spec.points:
+                # a list of points, echoed under the row's own name
+                key, default = spec.points
+                value = default if value is None else (value,)
+                text = "; ".join(scalar_to_string(v) for v in value)
+            else:
+                value = _DEFAULT_SCALARS[key] if value is None else value
+                text = scalar_to_string(value)
+        else:
+            value = _int_param(params, key, spec.quick[key], spec.n_min if key == "n" else 0)
+            text = str(value)
+        values.append(value)
+        echo[key] = text
+    return values, echo
+
+
+def _sweep(spec: IdentitySpec, instances) -> tuple[bool, Optional[Counterexample]]:
+    """Run the instance reports in order; return the first failure, else a pass.
 
     Instances must be generated in lexicographic order of their location
     tuples so the reported counterexample is the smallest one.  The failing
     instance's own parameters are folded into the counterexample detail so
-    the failure can be replayed exactly.
+    the failure can be replayed exactly; a single check's parameters are the
+    identity's own, so its counterexample is kept as it is.
     """
     for report in instances:
         if not report.passed:
             ce = report.counterexample
-            if ce is not None and ce.detail is None:
+            if ce is not None and ce.detail is None and not spec.single:
                 instance = " ".join(f"{k}={v}" for k, v in report.params.items())
                 ce = Counterexample(ce.location, ce.lhs, ce.rhs, f"instance {instance}")
-            return IdentityReport(identity, params, False, ce)
-    return IdentityReport(identity, params, True, None)
+            return False, ce
+    return True, None
 
 
-# default generic scalar arguments for checks that need points
-_DEFAULT_X = Fraction(2)
-_DEFAULT_Y = Fraction(-1, 2)
-_DEFAULT_POINTS = (Fraction(1), Fraction(2), Fraction(-3, 2))
-
-
-def _format_points(values) -> str:
-    return "; ".join(scalar_to_string(v) for v in values)
-
-
-# ---------------------------------------------------------------------------
-# runners (each resolves its own parameters and sweeps its bounds)
-# ---------------------------------------------------------------------------
-
-
-def _run_product(variant: str):
-    def run(params: dict) -> IdentityReport:
-        seq = _sequence_param(params)
-        n = _int_param(params, "n", _QUICK_BOUNDS[variant]["n"], minimum=1)
-        return matrices.check_product_identity(seq, n, variant)
-
-    return run
-
-
-def _run_eq6(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    n = _int_param(params, "n", _QUICK_BOUNDS["eq6"]["n"], minimum=1)
-    return matrices.check_transpose_fermat(seq, n)
-
-
-def _run_eq8(params: dict) -> IdentityReport:
-    op = _operator_param(params)
-    i_max = _int_param(params, "i", _QUICK_BOUNDS["eq8"]["i"])
-    j_max = _int_param(params, "j", _QUICK_BOUNDS["eq8"]["j"])
-    m_max = _int_param(params, "m", _QUICK_BOUNDS["eq8"]["m"])
-    echo = {"operator": op.selector, "i": str(i_max), "j": str(j_max), "m": str(m_max)}
-    return _sweep(
-        "eq8",
-        echo,
-        (
-            operators.check_operator_cauchy(op, i, j, m)
-            for i in range(i_max + 1)
-            for j in range(j_max + 1)
-            for m in range(m_max + 1)
-        ),
-    )
-
-
-def _run_eq9(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    if seq.q_scalar is None:
-        raise InvalidParamsError(f"eq9 needs a q-analog sequence, got {seq.selector!r}")
-    bound = _int_param(params, "n", _QUICK_BOUNDS["eq9"]["n"])
-    echo = {"sequence": seq.selector, "n": str(bound)}
-    return _sweep(
-        "eq9",
-        echo,
-        (
-            matrices.check_cauchy_vandermonde(seq, r, s, j)
-            for r in range(bound + 1)
-            for s in range(bound + 1 - r)
-            for j in range(r + s + 1)
-        ),
-    )
-
-
-def _run_eq10(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    if seq.q_scalar is None:
-        raise InvalidParamsError(f"eq10 needs a q-analog sequence, got {seq.selector!r}")
-    i_max = _int_param(params, "i", _QUICK_BOUNDS["eq10"]["i"])
-    j_max = _int_param(params, "j", _QUICK_BOUNDS["eq10"]["j"])
-    echo = {"sequence": seq.selector, "i": str(i_max), "j": str(j_max)}
-    return _sweep(
-        "eq10",
-        echo,
-        (
-            matrices.check_weighted_cauchy(seq, i, j)
-            for i in range(i_max + 1)
-            for j in range(j_max + 1)
-        ),
-    )
-
-
-def _run_eq11(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    n_max = _int_param(params, "n", _QUICK_BOUNDS["eq11-basic"]["n"])
-    x = _scalar_param(params, "x", seq, _DEFAULT_X)
-    y = _scalar_param(params, "y", seq, _DEFAULT_Y)
-    echo = {
-        "sequence": seq.selector,
-        "n": str(n_max),
-        "x": scalar_to_string(x),
-        "y": scalar_to_string(y),
-    }
-    return _sweep(
-        "eq11-basic",
-        echo,
-        (polynomials.check_sheffer_basic(seq, n, x, y) for n in range(n_max + 1)),
-    )
-
-
-def _run_semigroup(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    n = _int_param(params, "n", _QUICK_BOUNDS["semigroup"]["n"], minimum=1)
-    x = _scalar_param(params, "x", seq, _DEFAULT_X)
-    y = _scalar_param(params, "y", seq, _DEFAULT_Y)
-    return matrices.check_semigroup(seq, n, x, y)
-
-
-def _run_exp_vs_closed(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    n = _int_param(params, "n", _QUICK_BOUNDS["exp-vs-closed"]["n"], minimum=1)
-    if "x" in params:
-        points = (_scalar_param(params, "x", seq, None),)
-    else:
-        # the generator of Q(q) is a fully generic point for every sequence
-        points = (RationalFunction.generator(),) + _DEFAULT_POINTS
-    echo = {"sequence": seq.selector, "n": str(n), "x": _format_points(points)}
-    return _sweep(
-        "exp-vs-closed",
-        echo,
-        (matrices.check_exp_vs_closed(seq, size, x) for size in range(1, n + 1) for x in points),
-    )
-
-
-def _run_nilpotent(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    n = _int_param(params, "n", _QUICK_BOUNDS["nilpotent"]["n"], minimum=1)
-    echo = {"sequence": seq.selector, "n": str(n)}
-    return _sweep(
-        "nilpotent", echo, (matrices.check_nilpotency(seq, size) for size in range(1, n + 1))
-    )
-
-
-def _run_odd_cancel(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    k_max = _int_param(params, "n", _QUICK_BOUNDS["odd-cancel"]["n"])
-    if "x" in params:
-        points = (_scalar_param(params, "x", seq, None),)
-    else:
-        points = _DEFAULT_POINTS
-    echo = {"sequence": seq.selector, "n": str(k_max), "a": _format_points(points)}
-    return _sweep(
-        "odd-cancel",
-        echo,
-        (polynomials.check_odd_cancellation(seq, a, k_max) for a in points),
-    )
-
-
-def _run_normality(params: dict) -> IdentityReport:
-    seq = _sequence_param(params)
-    upper = _int_param(params, "n", _QUICK_BOUNDS["normality"]["n"], minimum=1)
-    echo = {"sequence": seq.selector, "n": str(upper)}
-    result = seq.is_normal_up_to(upper)
-    if result.is_normal:
-        return IdentityReport("normality", echo, True, None)
-    return IdentityReport(
-        "normality",
-        echo,
-        False,
-        Counterexample((result.first_failure,), scalar_to_string(result.value), "0"),
-    )
+def _check_normality(seq: AdmissibleSequence, n: int) -> IdentityReport:
+    """The alternating binomial sums vanish for every size up to n."""
+    result = seq.is_normal_up_to(n)
+    ce = None
+    if not result.is_normal:
+        ce = Counterexample((result.first_failure,), scalar_to_string(result.value), "0")
+    return IdentityReport("normality", {"sequence": seq.selector, "n": str(n)}, ce is None, ce)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-
-_QUICK_BOUNDS = {
-    "eq4": {"n": 6},
-    "eq5": {"n": 6},
-    "eq6": {"n": 5},
-    "eq8": {"i": 4, "j": 4, "m": 4},
-    "eq9": {"n": 6},
-    "eq10": {"i": 4, "j": 4},
-    "eq11-basic": {"n": 6},
-    "semigroup": {"n": 6},
-    "exp-vs-closed": {"n": 8},
-    "nilpotent": {"n": 8},
-    "odd-cancel": {"n": 4},
-    "normality": {"n": 12},
-}
-
-_FULL_BOUNDS = {
-    "eq4": {"n": 16},
-    "eq5": {"n": 16},
-    "eq6": {"n": 10},
-    "eq8": {"i": 8, "j": 8, "m": 10},
-    "eq9": {"n": 12},
-    "eq10": {"i": 6, "j": 6},
-    "eq11-basic": {"n": 16},
-    "semigroup": {"n": 12},
-    "exp-vs-closed": {"n": 16},
-    "nilpotent": {"n": 16},
-    "odd-cancel": {"n": 8},
-    "normality": {"n": 24},
-}
-
-# the symbolic exponential sweep is the one check whose full size is capped lower
-_FULL_SYMBOLIC_OVERRIDES = {
-    "exp-vs-closed": {"n": 10},
-}
 
 
 def _mostly(status: str, **overrides) -> dict:
@@ -366,6 +226,8 @@ def _mostly(status: str, **overrides) -> dict:
     return expected
 
 
+# checkers are looked up on their module at call time, so a wrapped or
+# replaced module attribute is the one that runs
 _REGISTRY: tuple[IdentitySpec, ...] = (
     IdentitySpec(
         "eq4",
@@ -373,7 +235,10 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_product("eq4"),
+        quick={"n": 6},
+        full={"n": 16},
+        instances=lambda seq, n: (matrices.check_product_identity(seq, n, "eq4"),),
+        single=True,
     ),
     IdentitySpec(
         "eq5",
@@ -381,18 +246,21 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_product("eq5"),
+        quick={"n": 6},
+        full={"n": 16},
+        instances=lambda seq, n: (matrices.check_product_identity(seq, n, "eq5"),),
+        single=True,
     ),
     IdentitySpec(
         "eq6",
         "Pascal times its transpose against the symmetric binomial matrix",
         ("sequence", "n"),
         _ALL_FAMILIES,
-        _mostly(
-            EXPECTED_FAIL,
-            classical=MUST_PASS,
-        ),
-        _run_eq6,
+        _mostly(EXPECTED_FAIL, classical=MUST_PASS),
+        quick={"n": 5},
+        full={"n": 10},
+        instances=lambda seq, n: (matrices.check_transpose_fermat(seq, n),),
+        single=True,
     ),
     IdentitySpec(
         "eq8",
@@ -400,7 +268,16 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("operator", "i", "j", "m"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_eq8,
+        quick={"i": 4, "j": 4, "m": 4},
+        full={"i": 8, "j": 8, "m": 10},
+        instances=lambda op, i_max, j_max, m_max: (
+            operators.check_operator_cauchy(op, i, j, m)
+            for i in range(i_max + 1)
+            for j in range(j_max + 1)
+            for m in range(m_max + 1)
+        ),
+        # the power-convention mutator with symbolic base is its own instance
+        extra_runs=(("q-symbolic", "qhat-power:q"),),
     ),
     IdentitySpec(
         "eq9",
@@ -408,7 +285,15 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n"),
         _Q_FAMILIES,
         {family: MUST_PASS for family in _Q_FAMILIES},
-        _run_eq9,
+        quick={"n": 6},
+        full={"n": 12},
+        instances=lambda seq, bound: (
+            matrices.check_cauchy_vandermonde(seq, r, s, j)
+            for r in range(bound + 1)
+            for s in range(bound + 1 - r)
+            for j in range(r + s + 1)
+        ),
+        n_min=0,
     ),
     IdentitySpec(
         "eq10",
@@ -416,7 +301,13 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "i", "j"),
         _Q_FAMILIES,
         {family: MUST_PASS for family in _Q_FAMILIES},
-        _run_eq10,
+        quick={"i": 4, "j": 4},
+        full={"i": 6, "j": 6},
+        instances=lambda seq, i_max, j_max: (
+            matrices.check_weighted_cauchy(seq, i, j)
+            for i in range(i_max + 1)
+            for j in range(j_max + 1)
+        ),
     ),
     IdentitySpec(
         "eq11-basic",
@@ -424,7 +315,12 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n", "x", "y"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_eq11,
+        quick={"n": 6},
+        full={"n": 16},
+        instances=lambda seq, n_max, x, y: (
+            polynomials.check_sheffer_basic(seq, n, x, y) for n in range(n_max + 1)
+        ),
+        n_min=0,
     ),
     IdentitySpec(
         "semigroup",
@@ -432,7 +328,10 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n", "x", "y"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_semigroup,
+        quick={"n": 6},
+        full={"n": 12},
+        instances=lambda seq, n, x, y: (matrices.check_semigroup(seq, n, x, y),),
+        single=True,
     ),
     IdentitySpec(
         "exp-vs-closed",
@@ -440,7 +339,17 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n", "x"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_exp_vs_closed,
+        quick={"n": 8},
+        full={"n": 16},
+        instances=lambda seq, n, points: (
+            matrices.check_exp_vs_closed(seq, size, x)
+            for size in range(1, n + 1)
+            for x in points
+        ),
+        # the generator of Q(q) is a fully generic point for every sequence
+        points=("x", (RationalFunction.generator(),) + _DEFAULT_POINTS),
+        # the symbolic exponential sweep is the one check whose full size is capped lower
+        full_caps={"q-symbolic": {"n": 10}},
     ),
     IdentitySpec(
         "nilpotent",
@@ -448,7 +357,11 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_nilpotent,
+        quick={"n": 8},
+        full={"n": 16},
+        instances=lambda seq, n: (
+            matrices.check_nilpotency(seq, size) for size in range(1, n + 1)
+        ),
     ),
     IdentitySpec(
         "odd-cancel",
@@ -456,18 +369,24 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ("sequence", "n", "x"),
         _ALL_FAMILIES,
         _mostly(MUST_PASS),
-        _run_odd_cancel,
+        quick={"n": 4},
+        full={"n": 8},
+        instances=lambda seq, k_max, points: (
+            polynomials.check_odd_cancellation(seq, a, k_max) for a in points
+        ),
+        n_min=0,
+        points=("a", _DEFAULT_POINTS),
     ),
     IdentitySpec(
         "normality",
         "alternating binomial sums vanish (normal-sequence classification)",
         ("sequence", "n"),
         _ALL_FAMILIES,
-        _mostly(
-            EXPECTED_FAIL,
-            classical=MUST_PASS,
-        ),
-        _run_normality,
+        _mostly(EXPECTED_FAIL, classical=MUST_PASS),
+        quick={"n": 12},
+        full={"n": 24},
+        instances=lambda seq, n: (_check_normality(seq, n),),
+        single=True,
     ),
 )
 
@@ -489,20 +408,17 @@ def run_identity(identity_id: str, params: Optional[dict] = None) -> IdentityRep
     if spec is None:
         known = ", ".join(s.id for s in _REGISTRY)
         raise UnknownIdentityError(f"unknown identity {identity_id!r}; known ids: {known}")
-    params = dict(params or {})
-    allowed = set(spec.param_keys)
-    extras = [k for k in params if k not in allowed]
+    params = params or {}
+    extras = sorted(k for k in params if k not in spec.param_keys)
     if extras:
         raise InvalidParamsError(
-            f"identity {identity_id!r} does not take parameter(s) {', '.join(sorted(extras))}; "
+            f"identity {identity_id!r} does not take parameter(s) {', '.join(extras)}; "
             f"allowed: {', '.join(spec.param_keys)}"
         )
     start = time.perf_counter()
-    report = spec.runner(params)
-    elapsed = time.perf_counter() - start
-    return IdentityReport(
-        report.identity, report.params, report.passed, report.counterexample, elapsed
-    )
+    values, echo = _resolve(spec, params)
+    passed, ce = _sweep(spec, spec.instances(*values))
+    return IdentityReport(identity_id, echo, passed, ce, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +495,6 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _suite_params(spec: IdentitySpec, profile: str, family: str, selector: str) -> dict:
-    bounds = dict((_FULL_BOUNDS if profile == "full" else _QUICK_BOUNDS)[spec.id])
-    if profile == "full" and family == "q-symbolic":
-        bounds.update(_FULL_SYMBOLIC_OVERRIDES.get(spec.id, {}))
-    params: dict = dict(bounds)
-    if "operator" in spec.param_keys:
-        params["operator"] = f"qhat-paper:{selector}"
-    else:
-        params["sequence"] = selector
-    return params
-
-
 def run_suite(profile: str = "quick") -> SuiteResult:
     """Run every identity over every applicable built-in sequence.
 
@@ -601,17 +505,13 @@ def run_suite(profile: str = "quick") -> SuiteResult:
         raise InvalidParamsError(f"profile must be 'quick' or 'full', got {profile!r}")
     entries = []
     for spec in _REGISTRY:
-        for family, selector in SUITE_FAMILIES:
-            if family not in spec.families:
-                continue
-            params = _suite_params(spec, profile, family, selector)
+        key = spec.param_keys[0]
+        *_, prefix = _SELECTORS[key]
+        runs = [(family, prefix + sel) for family, sel in SUITE_FAMILIES if family in spec.families]
+        for family, selector in runs + list(spec.extra_runs):
+            params = {key: selector, **(spec.full if profile == "full" else spec.quick)}
+            if profile == "full":
+                params.update(spec.full_caps.get(family, {}))
             report = run_identity(spec.id, params)
             entries.append(SuiteEntry(report, family, spec.expectation(family)))
-        if spec.id == "eq8":
-            # the power-convention mutator with symbolic base is its own instance
-            bounds = (_FULL_BOUNDS if profile == "full" else _QUICK_BOUNDS)["eq8"]
-            params = dict(bounds)
-            params["operator"] = "qhat-power:q"
-            report = run_identity("eq8", params)
-            entries.append(SuiteEntry(report, "q-symbolic", MUST_PASS))
     return SuiteResult(profile, tuple(entries))

@@ -40,7 +40,6 @@ __all__ = [
     "pascal_closed",
     "fermat",
     "matmul",
-    "transpose",
     "binom_convolve",
     "check_exp_vs_closed",
     "check_nilpotency",
@@ -263,10 +262,6 @@ def matmul(a, b):
         touched.sort()
         nonzero.append([(j, out[j]) for j in touched if out[j]])
     return (LowerTriMatrix if lower else SquareMatrix)._make(tuple(rows), field, nonzero)
-
-
-def transpose(matrix):
-    return matrix.transpose()
 
 
 # ---------------------------------------------------------------------------

@@ -756,7 +756,16 @@ def parse_rational_function(text: str) -> RationalFunction:
 
 
 def parse_scalar(text: str, field: ScalarField) -> Scalar:
-    """Parse text in the grammar of the given domain (rationals embed upward)."""
-    if field.symbolic:
-        return parse_rational_function(text)
-    return parse_rational(text)
+    """Parse text into the join of the given domain and the text's own one.
+
+    Rationals embed upward, and over Q a text outside the rational grammar
+    is read in the Q(q) grammar, as arithmetic would widen it: a point given
+    to a rational sequence may be a rational function.  A text that is
+    neither reports the Q(q) grammar's error.
+    """
+    if not field.symbolic:
+        try:
+            return parse_rational(text)
+        except ScalarParseError:
+            pass
+    return parse_rational_function(text)

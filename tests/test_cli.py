@@ -188,6 +188,31 @@ class TestNegativeScalars:
         assert "y=-5/7" in result.stdout
 
 
+class TestRationalFunctionPoints:
+    """check --x/--y read a point the way gen --x does: a rational sequence
+    takes a point of Q(q), and a text that is neither is still rejected."""
+
+    def test_q_point_over_a_rational_sequence(self, capsys):
+        code, out, err = run_main(capsys, "check", "semigroup", "-s", "classical", "-n", "4", "--x", "q")
+        assert code == 0, err
+        assert "params: sequence=classical n=4 x=(q)/(1) y=-1/2\n" in out
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1/0", "zero denominator (offset 2)"),
+            ("1/(1-q)", "expected digits after '/' (offset 2)"),
+        ],
+    )
+    def test_bad_points_are_usage_errors(self, capsys, value, message):
+        code, out, err = run_main(capsys, "check", "semigroup", "-s", "classical", "-n", "4", "--x", value)
+        assert code == 2
+        assert out == ""
+        assert err == f"psipascal: error: parameter 'x': {message}\n"
+        gen = run_main(capsys, "gen", "pascal", "-s", "classical", "-n", "2", "--x", value)
+        assert gen == (2, "", f"psipascal: error: {message}\n")
+
+
 class TestSuiteCommand:
     def test_quick_suite_is_healthy(self, capsys):
         code, out, _ = run_main(capsys, "suite", "--profile", "quick", "-f", "json")

@@ -109,6 +109,20 @@ class TestRunIdentity:
         assert report.passed
         assert report.params["x"] == "(q)/(1)"
 
+    @pytest.mark.parametrize(
+        "identity, echo",
+        [
+            ("semigroup", "x=(q)/(1) y=-1/2"),
+            ("eq11-basic", "x=(q)/(1) y=-1/2"),
+            ("exp-vs-closed", "x=(q)/(1)"),
+            ("odd-cancel", "a=(q)/(1)"),
+        ],
+    )
+    def test_rational_function_point_over_a_rational_sequence(self, identity, echo):
+        report = run_identity(identity, {"sequence": "classical", "n": 3, "x": "q"})
+        assert report.passed
+        assert " ".join(f"{k}={v}" for k, v in report.params.items()).endswith(echo)
+
     def test_reports_are_reproducible(self):
         first = run_identity("eq6", {"sequence": "fibonomial", "n": 4})
         second = run_identity("eq6", {"sequence": "fibonomial", "n": 4})

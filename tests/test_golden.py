@@ -1,10 +1,11 @@
-"""Pinned stdout digests and exit codes of small commands.
+"""Pinned stdout digests, exit codes and error messages of small commands.
 
 The digests were recorded once from the reference implementations of the
-polynomial kernel and of the matrix layer and are never re-recorded: a
-rewrite of either must reproduce every byte, so any drift in the canonical
-form of a rational function, in its rendering, in a matrix product or in
-the location of a counterexample fails here.
+polynomial kernel, of the matrix layer and of the identity engine and are
+never re-recorded: a rewrite of any of them must reproduce every byte, so
+any drift in the canonical form of a rational function, in its rendering,
+in a matrix product, in a parameter echo, in the location of a
+counterexample or in a parameter error fails here.
 """
 
 import hashlib
@@ -89,6 +90,89 @@ GOLDEN = [
         1207,
         "bc66e1c609809629f80115cf283a6738ff7748ef9c1e187bb4591a14be90bf97",
     ),
+    # engine: one entry per sweep shape, recorded before the identity
+    # catalog became a table of rows
+    (
+        ["check", "eq5", "-s", "fibonomial", "-n", "8"],
+        0,
+        59,
+        "d771243e2f8d27f50789f3da6596deb3a467ba91920452c9d111e99dd8346ad6",
+    ),
+    (
+        ["check", "eq9", "-s", "q", "-n", "5"],
+        0,
+        50,
+        "14d4dc90625e2581da15631bebe8f65c8e2cf40a9650940051b1ce039a609385",
+    ),
+    (
+        ["check", "eq10", "-s", "q=1/3", "--i", "4", "--j", "3"],
+        0,
+        59,
+        "47a47cf9559c9c3092603244b1741f50b206092e7dd7433565686bc93d817b45",
+    ),
+    (
+        ["check", "odd-cancel", "-s", "q", "-n", "3"],
+        0,
+        70,
+        "ff817e4595c9305ecbcde84c5558e2826ce39a37ded07ca03592b57df4ee2a11",
+    ),
+    (
+        ["check", "normality", "-s", "q", "-n", "6"],
+        1,
+        102,
+        "9830a3cf44fb35889d26c0b11b257d3293de5d5977fc41f137fa6a97bca08411",
+    ),
+    (
+        ["check", "exp-vs-closed", "-s", "classical", "-n", "5"],
+        0,
+        90,
+        "e7774c40f683a62ef48a8966b653bf2d7a826a3f6c585b74ad2238389ecac01b",
+    ),
+    # the whole suite; the full json output is also what bench/reference.json holds
+    (
+        ["suite", "--profile", "quick", "-f", "json"],
+        0,
+        8252,
+        "58283ffda689c871c4e365bd36284284859f2f8f9ee4ee09dfb9bb42a2484274",
+    ),
+    (
+        ["suite", "--profile", "quick"],
+        0,
+        3690,
+        "4e45f4e42cfa928f33be7eb86d7465fb08903fd69b2429a05b6005efd88cc7bb",
+    ),
+    (
+        ["suite", "--profile", "full", "-f", "json"],
+        0,
+        8286,
+        "e96294835592807962d4cbb2e635f4a220da2973f18e93c8abff903af23c20f4",
+    ),
+    (
+        ["suite", "--profile", "full"],
+        0,
+        3724,
+        "68c837c1dcee9db1520c490544888bc85712d2b46245621118c3b3f6cacfb7ff",
+    ),
+]
+
+# parameter errors: exit code 2, nothing on stdout and this exact message
+ERRORS = [
+    (
+        ["check", "eq12", "-s", "q"],
+        "unknown identity 'eq12'; known ids: eq4, eq5, eq6, eq8, eq9, eq10, eq11-basic, "
+        "semigroup, exp-vs-closed, nilpotent, odd-cancel, normality",
+    ),
+    (
+        ["check", "eq4", "-s", "q", "-n", "4", "--x", "2"],
+        "identity 'eq4' does not take parameter(s) x; allowed: sequence, n",
+    ),
+    (["check", "eq9", "-s", "classical"], "eq9 needs a q-analog sequence, got 'classical'"),
+    (["check", "eq4", "-n", "4"], "missing parameter 'sequence'"),
+    # a custom sequence shorter than the sweep
+    (
+        ["check", "eq4", "-s", "custom:1,2", "-n", "10"],
+        "custom sequence defines integers only up to n = 2",
+    ),
 ]
 
 
@@ -100,3 +184,11 @@ def test_stdout_matches_pinned_digest(argv, exit_code, size, digest):
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert len(proc.stdout) == size
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", ERRORS, ids=[" ".join(e[0]) for e in ERRORS])
+def test_parameter_error_matches_pinned_message(argv, message):
+    proc = subprocess.run([sys.executable, "-m", "psipascal", *argv], capture_output=True)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"psipascal: error: {message}\n"

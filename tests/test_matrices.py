@@ -33,7 +33,6 @@ from psipascal import (
     q_numeric,
     q_symbolic,
     run_identity,
-    transpose,
 )
 
 from oracles import comb, fib
@@ -142,8 +141,8 @@ class TestProducts:
 
     def test_transpose_involution(self):
         P = pascal_closed(q_symbolic(), 4, q)
-        assert transpose(transpose(P)) == P
-        assert transpose(P).entry(0, 3) == P.entry(3, 0)
+        assert P.transpose().transpose() == P
+        assert P.transpose().entry(0, 3) == P.entry(3, 0)
 
     def test_classical_square_is_argument_two(self):
         P1 = pascal_closed(classical(), 8, Fraction(1))
@@ -410,3 +409,27 @@ class TestCorruptedMemo:
         direct = check_nilpotency(self.zeroed_integer(), 12)
         ce = direct.counterexample
         assert (ce.location, ce.detail) == ((11,), "K^11 vanished")
+
+    @staticmethod
+    def bumped_binomial():
+        seq = q_numeric(2)
+        for n in range(9):
+            seq.binomial_row(n)
+        seq._binoms[(4, 2)] = seq._binoms[(4, 2)] + 1
+        return seq
+
+    def test_bumped_binomial_fails_eq9_at_the_smallest_index(self):
+        # r, s, j are swept in lexicographic order: (1, 3, 2) is the first
+        # triple whose right side reads binomial(4, 2) and whose left does not
+        report = run_identity("eq9", {"sequence": self.bumped_binomial(), "n": 5})
+        ce = report.counterexample
+        assert not report.passed
+        assert report.params == {"sequence": "q=2", "n": "5"}
+        assert str(ce) == "at (1, 3, 2): lhs=35 rhs=36 [instance sequence=q=2 r=1 s=3 j=2]"
+
+    def test_bumped_binomial_fails_eq10_at_the_smallest_index(self):
+        report = run_identity("eq10", {"sequence": self.bumped_binomial(), "i": 4, "j": 4})
+        ce = report.counterexample
+        assert not report.passed
+        assert report.params == {"sequence": "q=2", "i": "4", "j": "4"}
+        assert str(ce) == "at (2, 2): lhs=35 rhs=36 [instance sequence=q=2 i=2 j=2]"

@@ -4,7 +4,9 @@ Every operator here is diagonal in the monomial basis: it multiplies x^m by
 an eigenvalue L(m).  Operator-valued integers, factorials and binomials are
 therefore diagonal as well, and any identity between them reduces to a
 family of scalar identities, one per degree.  That reduction is what the
-Cauchy check below exploits.
+Cauchy check below exploits.  Each operator keeps one Pascal triangle of
+binomial eigenvalues per degree and grows it one row at a time, so a sweep
+that raises n step by step computes every row once.
 
 Two eigenvalue conventions ship, because they genuinely differ:
 
@@ -44,7 +46,7 @@ class DiagOperator:
         self._eigen_fn = eigen_fn
         self._eigs: dict[int, Scalar] = {}
         self._powers: dict[tuple[int, int], Scalar] = {}
-        self._binoms: dict[tuple[int, int, int], Scalar] = {}
+        self._rows: dict[int, list[list[Scalar]]] = {}  # degree m -> rows 0..n
 
     def eigenvalue(self, m: int) -> Scalar:
         if m < 0:
@@ -90,26 +92,27 @@ class DiagOperator:
         Computed with the division-free Pascal recurrence at base b = L(m):
         B(n, k) = B(n-1, k-1) + b^k B(n-1, k), B(n, 0) = 1.  This agrees with
         the factorial ratio whenever the factorial eigenvalues are nonzero
-        and stays defined when they vanish (roots of unity).
+        and stays defined when they vanish (roots of unity).  The rows for
+        degree m form one triangle, extended from its last row up to row n
+        on demand.
         """
         if k < 0 or k > n:
             return self.field.zero
-        key = (n, k, m)
-        cached = self._binoms.get(key)
-        if cached is not None:
-            return cached
-        one = self.field.one
-        row = [one]
-        self._binoms.setdefault((0, 0, m), one)
-        for r in range(1, n + 1):
-            nxt = [one]
-            for c in range(1, r):
-                nxt.append(row[c - 1] + self.eigenvalue_power(m, c) * row[c])
-            nxt.append(one)
-            row = nxt
-            for c, v in enumerate(row):
-                self._binoms.setdefault((r, c, m), v)
-        return self._binoms[key]
+        rows = self._rows.get(m)
+        if rows is None or len(rows) <= n:
+            # grow a copy and publish it whole: a concurrent caller sees the
+            # old rows or the new ones, never a row appended twice
+            one = self.field.one
+            rows = list(rows or [[one]])
+            while len(rows) <= n:
+                prev = rows[-1]
+                row = [one]
+                for c in range(1, len(prev)):
+                    row.append(prev[c - 1] + self.eigenvalue_power(m, c) * prev[c])
+                row.append(one)
+                rows.append(row)
+            self._rows[m] = rows
+        return rows[n][k]
 
     def apply(self, poly):
         """Diagonal action on a polynomial: coefficient at degree m scales by L(m)."""

@@ -138,6 +138,12 @@ def _dense(a: tuple) -> bool:
 def _pmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
+    # a product with the unit monomial q^e is a shift; testing the leading
+    # coefficient first keeps the count off every other operand
+    if a[-1] == 1 and a.count(0) == len(a) - 1:
+        return (0,) * (len(a) - 1) + b
+    if b[-1] == 1 and b.count(0) == len(b) - 1:
+        return (0,) * (len(b) - 1) + a
     da, a = _clear(a)
     db, b = _clear(b)
     if _dense(a) and _dense(b):

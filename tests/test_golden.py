@@ -128,6 +128,33 @@ GOLDEN = [
         90,
         "e7774c40f683a62ef48a8966b653bf2d7a826a3f6c585b74ad2238389ecac01b",
     ),
+    # operator binomials, recorded before the Pascal rows became one
+    # triangle per degree: ratio and power conventions, a rational base and
+    # an asymmetric sweep
+    (
+        ["check", "eq8", "-s", "qhat-paper:q", "--i", "6", "--j", "6", "-m", "5"],
+        0,
+        69,
+        "ec189f2460e7dbf40a99b3029c143666ee9bf2293161e4d54fe75c0f7b51efd0",
+    ),
+    (
+        ["check", "eq8", "-s", "qhat-paper:fibonomial", "--i", "6", "--j", "6", "-m", "6"],
+        0,
+        78,
+        "7bfe95b4b76e8b43086a7ac0a1e3dacd0e2f4daa135521952daa7527b2577104",
+    ),
+    (
+        ["check", "eq8", "-s", "qhat-power:q=-1/2", "--i", "5", "--j", "5", "-m", "7"],
+        0,
+        74,
+        "a6f1dc9cd9455bc7b928158cf691dfa1417cf015221f0e5132a842565daa7c03",
+    ),
+    (
+        ["check", "eq8", "-s", "qhat-power:q", "--i", "8", "--j", "3", "-m", "9"],
+        0,
+        69,
+        "ffa8c6b79f734ffb6d187dc7b1e135ffb6e9e4cab2ef30d895af91357a16747c",
+    ),
     # the whole suite; the full json output is also what bench/reference.json holds
     (
         ["suite", "--profile", "quick", "-f", "json"],

@@ -5,11 +5,13 @@ The packed (Kronecker) product is checked against the schoolbook oracle in
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psipascal import scalars
 from psipascal.scalars import (
     _PACK_CUTOFF,
     RationalFunction,
@@ -110,6 +112,78 @@ class TestPackedProduct:
 
 fracs = st.fractions(min_value=-40, max_value=40, max_denominator=30)
 frac_lists = st.lists(fracs, max_size=7)
+
+
+def _canonical(cs):
+    """Ascending tuple with trailing zeros dropped and integral values as ints."""
+    out = [c.numerator if c.denominator == 1 else c for c in map(Fraction, cs)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _assert_integral_coefficients_are_ints(cs):
+    for c in cs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def _monomial(e, c=1):
+    return (0,) * e + (c,)
+
+
+def _is_unit_monomial(p):
+    return p[-1] == 1 and not any(p[:-1])
+
+
+def _pmul_counting_general_path(a, b):
+    """_pmul(a, b) and the number of times it entered the general path."""
+    with mock.patch.object(scalars, "_clear", wraps=scalars._clear) as spy:
+        out = _pmul(a, b)
+    return out, spy.call_count
+
+
+exponents = st.integers(min_value=0, max_value=3 * _PACK_CUTOFF)
+fraction_polys = st.lists(fracs, min_size=1, max_size=2 * _PACK_CUTOFF).map(_canonical).filter(bool)
+
+
+class TestMonomialShift:
+    """A product with the unit monomial q^e is a shift of the other operand."""
+
+    @given(exponents, st.one_of(int_polys(), fraction_polys), st.booleans())
+    @settings(deadline=None, max_examples=80)
+    def test_unit_monomial_on_either_side(self, e, other, left):
+        a, b = (_monomial(e), other) if left else (other, _monomial(e))
+        out, general = _pmul_counting_general_path(a, b)
+        assert out == oracle(a, b)
+        assert general == 0
+        _assert_integral_coefficients_are_ints(out)
+
+    def test_exponent_zero_returns_the_other_operand(self):
+        other = (Fraction(1, 2), 0, -3, Fraction(7, 5))
+        assert _pmul((1,), other) == other
+        assert _pmul(other, (1,)) == other
+
+    @given(exponents, exponents)
+    @settings(deadline=None, max_examples=40)
+    def test_monomial_times_monomial(self, e, f):
+        out, general = _pmul_counting_general_path(_monomial(e), _monomial(f))
+        assert out == _monomial(e + f) == oracle(_monomial(e), _monomial(f))
+        assert general == 0
+
+    @given(
+        exponents,
+        st.sampled_from([2, -1, Fraction(1, 2)]),
+        st.one_of(int_polys(), fraction_polys).filter(lambda p: not _is_unit_monomial(p)),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_other_single_terms_take_the_general_path(self, e, c, other, left):
+        mono = _monomial(e, c)
+        a, b = (mono, other) if left else (other, mono)
+        out, general = _pmul_counting_general_path(a, b)
+        assert out == oracle(a, b)
+        assert general == 2
+        _assert_integral_coefficients_are_ints(out)
 
 
 def _monic_canonical(num, den):

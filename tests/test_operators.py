@@ -1,8 +1,13 @@
 """Diagonal mutator operators and the per-degree operator Cauchy identity."""
 
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psipascal import (
     Polynomial,
@@ -15,9 +20,10 @@ from psipascal import (
     q_symbolic,
     qhat_power,
     qhat_ratio,
+    run_identity,
 )
 
-from oracles import comb, fib
+from oracles import comb, fib, gaussian_binomial, poly_eval, q_integer
 
 
 class TestRatioEigenvalues:
@@ -117,6 +123,139 @@ class TestOperatorBinomials:
                 reference = seq.binomial(n, k)
                 for m in range(1, 8):
                     assert op.binomial_eigenvalue(n, k, m) == reference
+
+
+@lru_cache(maxsize=None)
+def _gaussian(n, k):
+    return tuple(gaussian_binomial(n, k))
+
+
+def _expected(base, n, k, m):
+    """B(n, k) at base L(m) = base^m, from the independent Gaussian oracle."""
+    coefficients = _gaussian(n, k)
+    if base is None:  # symbolic q: the Gaussian binomial spread to stride m
+        spread = [Fraction(0)] * (m * (len(coefficients) - 1) + 1) if coefficients else []
+        for t, c in enumerate(coefficients):
+            spread[m * t] += c
+        while spread and spread[-1] == 0:
+            spread.pop()
+        return spread
+    return poly_eval(list(coefficients), Fraction(base) ** m)
+
+
+def _observed(op, n, k, m):
+    value = op.binomial_eigenvalue(n, k, m)
+    if op.field.symbolic:
+        assert value.denominator == (1,)
+        return [Fraction(c) for c in value.numerator]
+    return value
+
+
+queries = st.lists(
+    st.tuples(st.integers(0, 10), st.integers(-2, 12), st.integers(0, 5)), max_size=40
+)
+
+
+class TestTriangleOrderIndependence:
+    """Each degree keeps one triangle grown on demand; the order of queries must not matter."""
+
+    @given(
+        st.sampled_from([None, Fraction(2), Fraction(-1, 2), Fraction(0)]),
+        queries,
+        queries,
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_any_query_order_matches_the_oracle(self, base, warm_up, asked):
+        warmed = qhat_power(q if base is None else base)
+        for n, k, m in warm_up:
+            warmed.binomial_eigenvalue(n, k, m)
+        # repeats, out-of-range k and descending n are all in the mix
+        for op in (qhat_power(q if base is None else base), warmed):
+            for n, k, m in asked + asked[::-1]:
+                assert _observed(op, n, k, m) == _expected(base, n, k, m), (n, k, m)
+
+
+def _q_binomial_at(n, k, q0):
+    """Gaussian binomial at a rational q0 from the product of q-integers."""
+    value = Fraction(1)
+    for t in range(k):
+        value = value * q_integer(n - t, q0) / q_integer(t + 1, q0)
+    return value
+
+
+class TestConcurrentGrowth:
+    def test_threads_growing_one_triangle_agree_with_the_oracle(self):
+        size, degrees = 30, (1, 2, 3)
+        expected = {
+            (n, k, m): _q_binomial_at(n, k, 2**m)
+            for m in degrees
+            for n in range(size)
+            for k in (0, n // 2, n)
+        }
+        op = qhat_power(Fraction(2))
+        wrong = []
+
+        def ask():
+            for (n, k, m), value in expected.items():
+                if op.binomial_eigenvalue(n, k, m) != value:
+                    wrong.append((n, k, m))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=ask) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+        for m in degrees:
+            assert [len(row) for row in op._rows[m]] == list(range(1, size + 1))
+
+
+class TestMemoCorruption:
+    """A corrupted operator memo must make eq8 fail at the first index that reads it."""
+
+    SWEEP = {"i": 4, "j": 4, "m": 4}
+
+    def built(self):
+        op = operator_from_selector("qhat-power:q")
+        assert run_identity("eq8", {"operator": op, **self.SWEEP}).passed
+        return op
+
+    def test_bumped_triangle_entry(self):
+        # B(4, 2) at degree 2 is first read as the right side B(i+j, j) of (2, 2, 2)
+        op = self.built()
+        op._rows[2][4][2] = op._rows[2][4][2] + 1
+        report = run_identity("eq8", {"operator": op, **self.SWEEP})
+        ce = report.counterexample
+        assert not report.passed
+        assert ce.location == (2, 2, 2)
+        assert ce.lhs == "(1 + q^2 + 2*q^4 + q^6 + q^8)/(1)"
+        assert ce.rhs == "(2 + q^2 + 2*q^4 + q^6 + q^8)/(1)"
+
+    def test_bumped_power_in_a_weight(self):
+        # L(3)^2 is first read as the weight b^((i-k)(j-k)) of (1, 2, 3), k = 0
+        op = self.built()
+        op._powers[(3, 2)] = op._powers[(3, 2)] + 1
+        report = run_identity("eq8", {"operator": op, **self.SWEEP})
+        ce = report.counterexample
+        assert not report.passed
+        assert ce.location == (1, 2, 3)
+        assert (ce.lhs, ce.rhs) == ("(2 + q^3 + q^6)/(1)", "(1 + q^3 + q^6)/(1)")
+
+    def test_bumped_power_feeding_the_triangle(self):
+        # corrupted before any row is built, L(3)^2 also enters B(n, 2) at degree 3
+        op = operator_from_selector("qhat-power:q")
+        op._powers[(3, 2)] = op.eigenvalue_power(3, 2) + 1
+        report = run_identity("eq8", {"operator": op, **self.SWEEP})
+        ce = report.counterexample
+        assert not report.passed
+        assert ce.location == (1, 3, 3)
+        assert (ce.lhs, ce.rhs) == ("(1 + q^3 + q^6 + q^9)/(1)", "(2 + q^3 + q^6 + q^9)/(1)")
 
 
 class TestDiagonalAction:

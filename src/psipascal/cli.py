@@ -3,7 +3,8 @@
 Subcommands: seq (tabulate integers, factorials, binomials), gen (emit K,
 Pascal or symmetric binomial matrices), check (run one identity), suite
 (run them all).  Exit codes: 0 healthy, 1 an identity check failed, 2 usage
-or parameter error.  Identical invocations produce byte-identical output.
+or parameter error, or an output file that cannot be written.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -219,6 +220,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         ValueError,
     ) as exc:
         print(f"psipascal: error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
+    except OSError as exc:
+        # the -o file (or stdout) could not be opened or written
+        target = args.out or "standard output"
+        print(f"psipascal: error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return _USAGE_ERROR
 
 

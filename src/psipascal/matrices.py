@@ -1,31 +1,37 @@
 """Exact matrix layer: subdiagonal generators, Pascal-type and symmetric
 binomial matrices, moment matrices, products, and the matrix-level checks.
 
-Lower-triangular matrices store only the triangle (row i holds i+1 entries);
-the symmetric binomial ("Fermat") matrix and transposes are dense squares.
-All matrices are immutable; entries are exact scalars from one of the two
-field domains, with rationals promoting to rational functions on contact.
-Products, scaling and sums are formed over nonzero entries only, so powers
-of the subdiagonal generator cost in proportion to their single nonzero
-diagonal; their results are built without re-coercing entries that already
-belong to the result field.
+One storage core holds every matrix: immutable rows of exact scalars from
+one of the two field domains, with rationals promoting to rational
+functions on contact.  The two public constructors differ only in the
+shape they check: lower-triangular matrices store the triangle (row i
+holds i+1 entries), while the symmetric binomial ("Fermat") matrix and
+transposes are dense squares.  Entries past a row's end read as zeros, and
+equality and hashing go by the nonzero entries, so equal matrices of either
+shape or field compare and hash alike.  Products, scaling and sums are
+formed over nonzero entries only, so powers of the subdiagonal generator
+cost in proportion to their single nonzero diagonal; their results, and
+transposes, are built without re-coercing entries that already belong to
+the result field.  The closed-form Pascal-type matrix P[x] is the moment
+matrix of the powers of x, and the checks share one entry comparison and
+one weighted Vandermonde sum.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .polynomials import psi_plus_power
 from .report import IdentityReport, failing, passing
 from .scalars import (
     RATIONAL_FIELD,
-    RATIONAL_FUNCTION_FIELD,
-    RationalFunction,
     Scalar,
     ScalarField,
     field_of,
+    infer_field,
     scalar_to_latex,
     scalar_to_string,
 )
@@ -54,16 +60,6 @@ __all__ = [
 ]
 
 
-def _entries_field(entry_rows, declared: Optional[ScalarField]) -> ScalarField:
-    if declared is not None:
-        return declared
-    for row in entry_rows:
-        for value in row:
-            if isinstance(value, RationalFunction):
-                return RATIONAL_FUNCTION_FIELD
-    return RATIONAL_FIELD
-
-
 def _coerce_rows(rows, field: ScalarField) -> tuple:
     # each row is built as a list first: tuple(<generator>) over-allocates
     # and resizes, which fills CPython's per-length tuple free lists
@@ -73,11 +69,26 @@ def _coerce_rows(rows, field: ScalarField) -> tuple:
 class _Matrix:
     """Storage shared by both shapes: immutable rows of scalars of one field.
 
-    ``_nonzero`` caches, per row, the list of (column, entry) pairs with a
-    nonzero entry; products, scaling and sums walk those pairs only.
+    Entries past the end of a stored row are zeros, so one ``entry`` serves
+    the triangle and the square.  ``_nonzero`` caches, per row, the list of
+    (column, entry) pairs with a nonzero entry; products, scaling, sums,
+    equality and hashing walk those pairs only, so a triangle and a square,
+    or a Q matrix and its Q(q) copy, with equal entries are equal and hash
+    alike.
     """
 
     __slots__ = ("_rows", "_field", "_nonzero")
+
+    def _fill(self, rows, field: Optional[ScalarField], lower: bool) -> None:
+        # the validating path of the public constructors; results of
+        # operations skip it through _make
+        rows = [list(r) for r in rows]
+        for i, row in enumerate(rows):
+            width = i + 1 if lower else len(rows)
+            if len(row) != width:
+                raise ValueError(f"row {i} must have {width} entries, got {len(row)}")
+        fld = infer_field(chain.from_iterable(rows), field)
+        self._rows, self._field, self._nonzero = _coerce_rows(rows, fld), fld, None
 
     @classmethod
     def _make(cls, rows: tuple, field: ScalarField, nonzero: Optional[list] = None):
@@ -104,20 +115,33 @@ class _Matrix:
             self._nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in self._rows]
         return self._nonzero
 
+    def entry(self, i: int, j: int) -> Scalar:
+        row = self._rows[i]
+        return row[j] if j < len(row) else self._field.zero
+
     @property
     def is_zero(self) -> bool:
         return not any(self._nonzero_rows())
+
+    @property
+    def has_zero_diagonal(self) -> bool:
+        return all(not row[i] for i, row in enumerate(self._rows))
+
+    def transpose(self) -> "SquareMatrix":
+        n = self.size
+        rows = tuple([tuple([self.entry(j, i) for j in range(n)]) for i in range(n)])
+        return SquareMatrix._make(rows, self._field)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __eq__(self, other):
         if isinstance(other, _Matrix):
-            return _same_entries(self, other)
+            return self._nonzero_rows() == other._nonzero_rows()
         return NotImplemented
 
     def __hash__(self):
-        return _entries_hash(self)
+        return hash(tuple(map(tuple, self._nonzero_rows())))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.size}x{self.size} over {self._field.name}>"
@@ -129,27 +153,13 @@ class LowerTriMatrix(_Matrix):
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
-        rows = [list(r) for r in rows]
-        for i, row in enumerate(rows):
-            if len(row) != i + 1:
-                raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
-        fld = _entries_field(rows, field)
-        self._rows, self._field, self._nonzero = _coerce_rows(rows, fld), fld, None
+        self._fill(rows, field, lower=True)
 
     @classmethod
     def identity(cls, n: int, field: ScalarField = RATIONAL_FIELD) -> "LowerTriMatrix":
         zero, one = field.zero, field.one
         rows = tuple([tuple([zero] * i + [one]) for i in range(n)])
         return cls._make(rows, field, [[(i, one)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> Scalar:
-        if j > i:
-            return self._field.zero
-        return self._rows[i][j]
-
-    @property
-    def has_zero_diagonal(self) -> bool:
-        return all(not row[i] for i, row in enumerate(self._rows))
 
     def scale(self, value) -> "LowerTriMatrix":
         fld = self._field.join(field_of(value))
@@ -182,12 +192,6 @@ class LowerTriMatrix(_Matrix):
             rows.append(tuple(out))
         return LowerTriMatrix._make(tuple(rows), fld)
 
-    def transpose(self) -> "SquareMatrix":
-        n = self.size
-        return SquareMatrix(
-            [[self.entry(j, i) for j in range(n)] for i in range(n)], self._field
-        )
-
 
 class SquareMatrix(_Matrix):
     """Dense square matrix over an exact scalar field."""
@@ -195,36 +199,7 @@ class SquareMatrix(_Matrix):
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} must have {n} entries, got {len(row)}")
-        fld = _entries_field(rows, field)
-        self._rows, self._field, self._nonzero = _coerce_rows(rows, fld), fld, None
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self._rows[i][j]
-
-    def transpose(self) -> "SquareMatrix":
-        n = self.size
-        return SquareMatrix(
-            [[self._rows[j][i] for j in range(n)] for i in range(n)], self._field
-        )
-
-
-def _same_entries(a, b) -> bool:
-    if a.size != b.size:
-        return False
-    n = a.size
-    return all(a.entry(i, j) == b.entry(i, j) for i in range(n) for j in range(n))
-
-
-def _entries_hash(a) -> int:
-    # hashed over the dense grid so triangular and square forms with equal
-    # entries hash alike, matching __eq__ across the two classes
-    n = a.size
-    return hash(tuple(tuple(a.entry(i, j) for j in range(n)) for i in range(n)))
+        self._fill(rows, field, lower=False)
 
 
 def matmul(a, b):
@@ -306,16 +281,13 @@ def psi_exp_nilpotent(seq: AdmissibleSequence, matrix: LowerTriMatrix, x) -> Low
 
 
 def pascal_closed(seq: AdmissibleSequence, n: int, x) -> LowerTriMatrix:
-    """The Pascal-type matrix in closed form: entry (i, j) = x^(i-j) binomial(i, j)."""
+    """The Pascal-type matrix in closed form: entry (i, j) = x^(i-j) binomial(i, j).
+
+    It is the moment matrix of the powers 1, x, x^2, ..., x^(n-1).
+    """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    x_powers = [x ** 0]
-    for _ in range(n - 1):
-        x_powers.append(x_powers[-1] * x)
-    rows = []
-    for i in range(n):
-        rows.append([seq.binomial(i, j) * x_powers[i - j] for j in range(i + 1)])
-    return LowerTriMatrix(rows)
+    return _moment_matrix(seq, _powers(x, n))
 
 
 def fermat(seq: AdmissibleSequence, n: int) -> SquareMatrix:
@@ -330,6 +302,21 @@ def fermat(seq: AdmissibleSequence, n: int) -> SquareMatrix:
 # ---------------------------------------------------------------------------
 # moment matrices: the closure of the Pascal family under products
 # ---------------------------------------------------------------------------
+
+
+def _powers(x, n: int) -> list:
+    """x^0, x^1, ..., x^(n-1), each from the one before; x^0 alone when n < 1."""
+    powers = [x ** 0]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * x)
+    return powers
+
+
+def _moment_matrix(seq: AdmissibleSequence, moments: Sequence) -> LowerTriMatrix:
+    """Entry (i, j) = binomial(i, j) * moments[i-j], over the field of its entries."""
+    return LowerTriMatrix(
+        [[seq.binomial(i, j) * moments[i - j] for j in range(i + 1)] for i in range(len(moments))]
+    )
 
 
 def binom_convolve(seq: AdmissibleSequence, a: Sequence, b: Sequence) -> tuple:
@@ -369,17 +356,10 @@ class GeneralizedPascal:
     @classmethod
     def from_scalar_powers(cls, seq: AdmissibleSequence, x, n: int) -> "GeneralizedPascal":
         """The moment matrix of P[x]: moments 1, x, x^2, ..., x^(n-1)."""
-        powers = [x ** 0]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * x)
-        return cls(seq, powers)
+        return cls(seq, _powers(x, n))
 
     def matrix(self) -> LowerTriMatrix:
-        n = len(self.moments)
-        rows = []
-        for i in range(n):
-            rows.append([self.seq.binomial(i, j) * self.moments[i - j] for j in range(i + 1)])
-        return LowerTriMatrix(rows)
+        return _moment_matrix(self.seq, self.moments)
 
     def product(self, other: "GeneralizedPascal") -> "GeneralizedPascal":
         if self.seq.selector != other.seq.selector:
@@ -411,19 +391,26 @@ class GeneralizedPascal:
 # ---------------------------------------------------------------------------
 
 
+def _first_mismatch(identity: str, params: dict, actual, expected) -> IdentityReport:
+    """Compare ``actual`` with ``expected(i, j)`` over the entries ``actual`` stores.
+
+    Rows and columns are walked in ascending order, so the range is the
+    triangle or the square by the shape of ``actual``, and the first
+    differing entry is the reported counterexample.
+    """
+    for i, row in enumerate(actual.rows):
+        for j, lhs in enumerate(row):
+            rhs = expected(i, j)
+            if lhs != rhs:
+                return failing(identity, params, (i, j), scalar_to_string(lhs), scalar_to_string(rhs))
+    return passing(identity, params)
+
+
 def check_exp_vs_closed(seq: AdmissibleSequence, n: int, x) -> IdentityReport:
     """The nilpotent exponential of the generator must equal the closed form."""
     params = {"sequence": seq.selector, "n": str(n), "x": scalar_to_string(x)}
     series = psi_exp_nilpotent(seq, k_matrix(seq, n), x)
-    closed = pascal_closed(seq, n, x)
-    for i in range(n):
-        for j in range(i + 1):
-            lhs, rhs = series.entry(i, j), closed.entry(i, j)
-            if lhs != rhs:
-                return failing(
-                    "exp-vs-closed", params, (i, j), scalar_to_string(lhs), scalar_to_string(rhs)
-                )
-    return passing("exp-vs-closed", params)
+    return _first_mismatch("exp-vs-closed", params, series, pascal_closed(seq, n, x).entry)
 
 
 def check_nilpotency(seq: AdmissibleSequence, n: int) -> IdentityReport:
@@ -436,29 +423,22 @@ def check_nilpotency(seq: AdmissibleSequence, n: int) -> IdentityReport:
     if power.is_zero:
         return failing("nilpotent", params, (n - 1,), "0", "nonzero", detail=f"K^{n - 1} vanished")
     power = matmul(power, matrix)
-    for i in range(n):
-        for j in range(i + 1):
-            value = power.entry(i, j)
-            if value:
-                return failing(
-                    "nilpotent", params, (n, i, j), scalar_to_string(value), "0",
-                    detail=f"K^{n} has a nonzero entry",
-                )
+    for i, pairs in enumerate(power._nonzero_rows()):
+        if pairs:
+            j, value = pairs[0]
+            return failing(
+                "nilpotent", params, (n, i, j), scalar_to_string(value), "0",
+                detail=f"K^{n} has a nonzero entry",
+            )
     return passing("nilpotent", params)
 
 
 def _check_product(seq, n, x, y, identity: str, params: dict) -> IdentityReport:
     product = matmul(pascal_closed(seq, n, x), pascal_closed(seq, n, y))
     sum_powers = [psi_plus_power(seq, x, y, d) for d in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            expected = seq.binomial(i, j) * sum_powers[i - j]
-            actual = product.entry(i, j)
-            if actual != expected:
-                return failing(
-                    identity, params, (i, j), scalar_to_string(actual), scalar_to_string(expected)
-                )
-    return passing(identity, params)
+    return _first_mismatch(
+        identity, params, product, lambda i, j: seq.binomial(i, j) * sum_powers[i - j]
+    )
 
 
 def check_semigroup(seq: AdmissibleSequence, n: int, x, y) -> IdentityReport:
@@ -497,35 +477,36 @@ def check_transpose_fermat(seq: AdmissibleSequence, n: int) -> IdentityReport:
     params = {"sequence": seq.selector, "n": str(n)}
     p1 = pascal_closed(seq, n, seq.field.one)
     product = matmul(p1, p1.transpose())
-    expected = fermat(seq, n)
-    for i in range(n):
-        for j in range(n):
-            lhs, rhs = product.entry(i, j), expected.entry(i, j)
-            if lhs != rhs:
-                return failing("eq6", params, (i, j), scalar_to_string(lhs), scalar_to_string(rhs))
-    return passing("eq6", params)
+    return _first_mismatch("eq6", params, product, fermat(seq, n).entry)
 
 
-def _require_q(seq: AdmissibleSequence, identity: str):
-    if seq.q_scalar is None:
+def _weighted_vandermonde(seq: AdmissibleSequence, identity: str, indices: dict, r, s, j):
+    """sum_k q^((r-k)(j-k)) binomial(r,k) binomial(s,j-k) against binomial(r+s, j).
+
+    ``indices`` names the caller's own indices, in order: they are echoed as
+    the report's parameters and form the counterexample's location.
+    """
+    base = seq.q_scalar
+    if base is None:
         raise ValueError(f"{identity} needs a q-analog sequence, got {seq.selector!r}")
-    return seq.q_scalar
+    params = {"sequence": seq.selector, **{k: str(v) for k, v in indices.items()}}
+    lhs = seq.field.zero
+    for k in range(max(0, j - s), min(r, j) + 1):
+        lhs = lhs + (base ** ((r - k) * (j - k))) * seq.binomial(r, k) * seq.binomial(s, j - k)
+    rhs = seq.binomial(r + s, j)
+    if lhs != rhs:
+        location = tuple(indices.values())
+        return failing(identity, params, location, scalar_to_string(lhs), scalar_to_string(rhs))
+    return passing(identity, params)
 
 
 def check_weighted_cauchy(seq: AdmissibleSequence, i: int, j: int) -> IdentityReport:
     """Weighted symmetric Cauchy identity for q-binomials:
 
-    sum_k q^((i-k)(j-k)) binomial(i,k) binomial(j,k) = binomial(i+j, j).
+    sum_k q^((i-k)(j-k)) binomial(i,k) binomial(j,k) = binomial(i+j, j),
+    the weighted Vandermonde convolution at (r, s, j) = (i, j, j).
     """
-    base = _require_q(seq, "eq10")
-    params = {"sequence": seq.selector, "i": str(i), "j": str(j)}
-    lhs = seq.field.zero
-    for k in range(min(i, j) + 1):
-        lhs = lhs + (base ** ((i - k) * (j - k))) * seq.binomial(i, k) * seq.binomial(j, k)
-    rhs = seq.binomial(i + j, j)
-    if lhs != rhs:
-        return failing("eq10", params, (i, j), scalar_to_string(lhs), scalar_to_string(rhs))
-    return passing("eq10", params)
+    return _weighted_vandermonde(seq, "eq10", {"i": i, "j": j}, i, j, j)
 
 
 def check_cauchy_vandermonde(seq: AdmissibleSequence, r: int, s: int, j: int) -> IdentityReport:
@@ -533,15 +514,7 @@ def check_cauchy_vandermonde(seq: AdmissibleSequence, r: int, s: int, j: int) ->
 
     sum_k q^((r-k)(j-k)) binomial(r,k) binomial(s,j-k) = binomial(r+s, j).
     """
-    base = _require_q(seq, "eq9")
-    params = {"sequence": seq.selector, "r": str(r), "s": str(s), "j": str(j)}
-    lhs = seq.field.zero
-    for k in range(max(0, j - s), min(r, j) + 1):
-        lhs = lhs + (base ** ((r - k) * (j - k))) * seq.binomial(r, k) * seq.binomial(s, j - k)
-    rhs = seq.binomial(r + s, j)
-    if lhs != rhs:
-        return failing("eq9", params, (r, s, j), scalar_to_string(lhs), scalar_to_string(rhs))
-    return passing("eq9", params)
+    return _weighted_vandermonde(seq, "eq9", {"r": r, "s": s, "j": j}, r, s, j)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from typing import Iterable, Optional
 from .report import IdentityReport, failing, passing
 from .scalars import (
     RATIONAL_FIELD,
-    RATIONAL_FUNCTION_FIELD,
-    RationalFunction,
     Scalar,
     ScalarField,
+    infer_field,
     scalar_to_string,
 )
 from .sequences import AdmissibleSequence
@@ -32,14 +31,6 @@ __all__ = [
 ]
 
 
-def _infer_field(values, declared: Optional[ScalarField]) -> ScalarField:
-    if declared is not None:
-        return declared
-    if any(isinstance(v, RationalFunction) for v in values):
-        return RATIONAL_FUNCTION_FIELD
-    return RATIONAL_FIELD
-
-
 class Polynomial:
     """Immutable dense polynomial with exact scalar coefficients, ascending order."""
 
@@ -47,7 +38,7 @@ class Polynomial:
 
     def __init__(self, coefficients: Iterable = (), field: Optional[ScalarField] = None):
         raw = list(coefficients)
-        fld = _infer_field(raw, field)
+        fld = infer_field(raw, field)
         coerced = [fld.coerce(c) for c in raw]
         while coerced and not coerced[-1]:
             coerced.pop()

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import add, neg
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 Rational = Fraction
 
@@ -598,6 +598,15 @@ class ScalarField:
 
 RATIONAL_FIELD = ScalarField("rational", symbolic=False)
 RATIONAL_FUNCTION_FIELD = ScalarField("rational-function", symbolic=True)
+
+
+def infer_field(values, declared: Optional[ScalarField] = None) -> ScalarField:
+    """``declared`` if given; otherwise Q(q) if any value is a rational function, else Q."""
+    if declared is not None:
+        return declared
+    if any(isinstance(v, RationalFunction) for v in values):
+        return RATIONAL_FUNCTION_FIELD
+    return RATIONAL_FIELD
 
 
 def field_of(value) -> ScalarField:

@@ -26,6 +26,7 @@ from .scalars import (
     RationalFunction,
     Scalar,
     ScalarField,
+    infer_field,
     parse_rational,
     parse_rational_function,
     scalar_to_string,
@@ -240,8 +241,7 @@ def custom(entries: Sequence, name: str = "custom") -> AdmissibleSequence:
     """
     if not entries:
         raise AdmissibilityError("custom sequence needs at least one entry")
-    symbolic = any(isinstance(e, RationalFunction) for e in entries)
-    field = RATIONAL_FUNCTION_FIELD if symbolic else RATIONAL_FIELD
+    field = infer_field(entries)
     values = []
     for index, entry in enumerate(entries):
         value = field.coerce(entry)

@@ -229,6 +229,32 @@ class TestSuiteCommand:
         assert "healthy=yes" in out
 
 
+class TestUnwritableOutput:
+    """An -o path that cannot be opened is a usage error (exit 2), not a crash."""
+
+    # eq6 over q fails (exit 1 when its report is written); an unwritable
+    # report still exits 2
+    COMMANDS = {
+        "seq": ("seq", "-s", "q", "-n", "3"),
+        "gen": ("gen", "K", "-s", "q", "-n", "3"),
+        "check": ("check", "eq6", "-s", "q", "-n", "3"),
+        "suite": ("suite",),
+    }
+
+    @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exit_2_with_one_line_naming_the_path(self, tmp_path, command, target):
+        path = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+        result = run_subprocess(*self.COMMANDS[command], "-o", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(f"psipascal: error: cannot write {path}: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+        # nothing was created: no partial file and no directory
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminismEndToEnd:
     @pytest.mark.parametrize(
         "argv",

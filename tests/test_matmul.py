@@ -6,6 +6,7 @@ re-coercing entries.  Every result is checked against the dense
 triple-loop oracle in ``oracles.py`` and for the representation invariants
 the trusted constructor must keep: the shape, the field (the join of the
 operands' fields), the type of every entry and the cached nonzero pattern.
+Equality and hashing go by nonzero entries, across both shapes and fields.
 
 Q(q) entries are polynomials of degree at most 2, so every entry of a
 product or sum has degree at most 4 and is fixed by its values at the five
@@ -37,9 +38,9 @@ fields = st.sampled_from((RATIONAL_FIELD, RATIONAL_FUNCTION_FIELD))
 
 
 @st.composite
-def matrices(draw, lower, n):
+def matrices(draw, lower, n, field=None):
     """A matrix of the given shape and size over a drawn field and zero pattern."""
-    field = draw(fields)
+    field = field or draw(fields)
     pattern = draw(st.sampled_from(PATTERNS))
     values = rationals if field is RATIONAL_FIELD else polys
     rows = []
@@ -69,6 +70,12 @@ def operand_pairs(draw):
 def lower_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     return draw(matrices(True, n)), draw(matrices(True, n))
+
+
+@st.composite
+def any_matrices(draw, field=None):
+    n = draw(st.integers(min_value=1, max_value=6))
+    return draw(matrices(draw(st.booleans()), n, field))
 
 
 scalars = st.one_of(st.integers(min_value=-3, max_value=3), rationals, polys)
@@ -176,3 +183,44 @@ class TestScaleAndSum:
         ):
             assert result.field is RATIONAL_FUNCTION_FIELD
             assert all(type(v) is RationalFunction for row in result.rows for v in row)
+
+
+class TestEqualityAndHash:
+    @given(any_matrices())
+    @settings(deadline=None, max_examples=120)
+    def test_double_transpose_is_equal_across_shapes(self, m):
+        # a triangle comes back as a square with zeros above the diagonal
+        once = m.transpose()
+        twice = once.transpose()
+        assert_well_formed(once, False, m.field)
+        assert_well_formed(twice, False, m.field)
+        assert m == twice and twice == m
+        assert hash(m) == hash(twice)
+        n = m.size
+        assert all(once.entry(i, j) == m.entry(j, i) for i in range(n) for j in range(n))
+
+    @given(any_matrices(RATIONAL_FIELD))
+    @settings(deadline=None, max_examples=80)
+    def test_rational_matrix_equals_its_q_of_q_copy(self, m):
+        copy = type(m)(m.rows, RATIONAL_FUNCTION_FIELD)
+        assert_well_formed(copy, isinstance(m, LowerTriMatrix), RATIONAL_FUNCTION_FIELD)
+        assert m == copy and copy == m
+        assert hash(m) == hash(copy)
+        assert copy.transpose().transpose() == m
+
+    @given(any_matrices(), st.data())
+    @settings(deadline=None, max_examples=120)
+    def test_bumping_one_entry_breaks_equality(self, m, data):
+        i = data.draw(st.integers(min_value=0, max_value=m.size - 1))
+        j = data.draw(st.integers(min_value=0, max_value=len(m.rows[i]) - 1))
+        rows = [list(row) for row in m.rows]
+        rows[i][j] = rows[i][j] + 1
+        bumped = type(m)(rows, m.field)
+        assert m != bumped and bumped != m
+        assert m.transpose().transpose() != bumped
+        assert m != bumped.transpose().transpose()
+
+    def test_sizes_and_other_types_differ(self):
+        assert LowerTriMatrix.identity(2) != LowerTriMatrix.identity(3)
+        assert SquareMatrix([[0, 0], [0, 0]]) != SquareMatrix([[0]])
+        assert LowerTriMatrix([[1]]) != ((1,),)

@@ -155,22 +155,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    params: dict = {}
-    if args.sequence is not None:
-        key = "operator" if args.sequence.startswith("qhat-") else "sequence"
-        params[key] = args.sequence
-    if args.size is not None:
-        params["n"] = args.size
-    if args.x is not None:
-        params["x"] = args.x
-    if args.y is not None:
-        params["y"] = args.y
-    if args.degree is not None:
-        params["m"] = args.degree
-    if args.i is not None:
-        params["i"] = args.i
-    if args.j is not None:
-        params["j"] = args.j
+    selector = "operator" if (args.sequence or "").startswith("qhat-") else "sequence"
+    given = (
+        (selector, args.sequence),
+        ("n", args.size),
+        ("x", args.x),
+        ("y", args.y),
+        ("m", args.degree),
+        ("i", args.i),
+        ("j", args.j),
+    )
+    params = {key: value for key, value in given if value is not None}
     report = run_identity(args.identity, params)
     if args.format == "json":
         _emit(json.dumps(report.to_json_obj(), separators=(",", ":")), args.out)

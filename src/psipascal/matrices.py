@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .polynomials import psi_plus_power
 from .report import IdentityReport, failing, passing
 from .scalars import (
     RATIONAL_FIELD,
@@ -35,7 +34,7 @@ from .scalars import (
     scalar_to_latex,
     scalar_to_string,
 )
-from .sequences import AdmissibleSequence
+from .sequences import AdmissibleSequence, powers
 
 __all__ = [
     "LowerTriMatrix",
@@ -270,13 +269,12 @@ def psi_exp_nilpotent(seq: AdmissibleSequence, matrix: LowerTriMatrix, x) -> Low
     n = matrix.size
     acc = LowerTriMatrix.identity(n, seq.field)
     power = LowerTriMatrix.identity(n, matrix.field)
-    x_power = x ** 0
+    x_powers = powers(x, n)
     for k in range(1, n):
         power = matmul(power, matrix)
         if power.is_zero:
             break
-        x_power = x_power * x
-        acc = acc + power.scale(x_power / seq.factorial(k))
+        acc = acc + power.scale(x_powers[k] / seq.factorial(k))
     return acc
 
 
@@ -287,7 +285,7 @@ def pascal_closed(seq: AdmissibleSequence, n: int, x) -> LowerTriMatrix:
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    return _moment_matrix(seq, _powers(x, n))
+    return _moment_matrix(seq, powers(x, n))
 
 
 def fermat(seq: AdmissibleSequence, n: int) -> SquareMatrix:
@@ -304,14 +302,6 @@ def fermat(seq: AdmissibleSequence, n: int) -> SquareMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _powers(x, n: int) -> list:
-    """x^0, x^1, ..., x^(n-1), each from the one before; x^0 alone when n < 1."""
-    powers = [x ** 0]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * x)
-    return powers
-
-
 def _moment_matrix(seq: AdmissibleSequence, moments: Sequence) -> LowerTriMatrix:
     """Entry (i, j) = binomial(i, j) * moments[i-j], over the field of its entries."""
     return LowerTriMatrix(
@@ -323,13 +313,7 @@ def binom_convolve(seq: AdmissibleSequence, a: Sequence, b: Sequence) -> tuple:
     """Binomial convolution of two moment lists: c_m = sum_t binomial(m,t) a_t b_(m-t)."""
     if len(a) != len(b):
         raise ValueError(f"moment lists differ in length: {len(a)} vs {len(b)}")
-    out = []
-    for m in range(len(a)):
-        total = seq.field.zero
-        for t in range(m + 1):
-            total = total + seq.binomial(m, t) * a[t] * b[m - t]
-        out.append(total)
-    return tuple(out)
+    return tuple([seq.binomial_sum(m, a, b) for m in range(len(a))])
 
 
 class GeneralizedPascal:
@@ -345,7 +329,9 @@ class GeneralizedPascal:
     __slots__ = ("seq", "moments")
 
     def __init__(self, seq: AdmissibleSequence, moments: Sequence):
-        values = tuple(seq.field.coerce(m) for m in moments)
+        values = tuple(moments)
+        field = seq.field.join(infer_field(values))
+        values = tuple(field.coerce(m) for m in values)
         if not values:
             raise ValueError("at least one moment is required")
         if values[0] != 1:
@@ -356,7 +342,7 @@ class GeneralizedPascal:
     @classmethod
     def from_scalar_powers(cls, seq: AdmissibleSequence, x, n: int) -> "GeneralizedPascal":
         """The moment matrix of P[x]: moments 1, x, x^2, ..., x^(n-1)."""
-        return cls(seq, _powers(x, n))
+        return cls(seq, powers(x, n))
 
     def matrix(self) -> LowerTriMatrix:
         return _moment_matrix(self.seq, self.moments)
@@ -370,10 +356,7 @@ class GeneralizedPascal:
         """Moments of the inverse matrix, by triangular solve against (1, 0, 0, ...)."""
         inv = [self.seq.field.one]
         for m in range(1, len(self.moments)):
-            acc = self.seq.field.zero
-            for t in range(m):
-                acc = acc + self.seq.binomial(m, t) * self.moments[m - t] * inv[t]
-            inv.append(-acc)
+            inv.append(-self.seq.binomial_sum(m, inv + [0], self.moments))
         return GeneralizedPascal(self.seq, inv)
 
     def __eq__(self, other):
@@ -435,10 +418,9 @@ def check_nilpotency(seq: AdmissibleSequence, n: int) -> IdentityReport:
 
 def _check_product(seq, n, x, y, identity: str, params: dict) -> IdentityReport:
     product = matmul(pascal_closed(seq, n, x), pascal_closed(seq, n, y))
-    sum_powers = [psi_plus_power(seq, x, y, d) for d in range(n)]
-    return _first_mismatch(
-        identity, params, product, lambda i, j: seq.binomial(i, j) * sum_powers[i - j]
-    )
+    # (x +psi y)^d for every d at once: the convolution of the two power lists
+    sums = binom_convolve(seq, powers(x, n), powers(y, n))
+    return _first_mismatch(identity, params, product, lambda i, j: seq.binomial(i, j) * sums[i - j])
 
 
 def check_semigroup(seq: AdmissibleSequence, n: int, x, y) -> IdentityReport:

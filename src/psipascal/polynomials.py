@@ -19,7 +19,7 @@ from .scalars import (
     infer_field,
     scalar_to_string,
 )
-from .sequences import AdmissibleSequence
+from .sequences import AdmissibleSequence, powers
 
 __all__ = [
     "Polynomial",
@@ -172,11 +172,10 @@ def psi_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
     """
     result = p
     derivative = p
-    y_power = seq.field.one * (y ** 0)
+    y_powers = powers(y, p.degree + 1)
     for k in range(1, p.degree + 1):
         derivative = psi_derivative(seq, derivative)
-        y_power = y_power * y
-        result = result + derivative.scale(y_power / seq.factorial(k))
+        result = result + derivative.scale(y_powers[k] / seq.factorial(k))
     return result
 
 
@@ -188,15 +187,7 @@ def psi_plus_power(seq: AdmissibleSequence, x, y, n: int):
     """
     if n < 0:
         raise ValueError("power must be >= 0")
-    total = seq.field.zero
-    x_powers = [x ** 0]
-    y_powers = [y ** 0]
-    for _ in range(n):
-        x_powers.append(x_powers[-1] * x)
-        y_powers.append(y_powers[-1] * y)
-    for k in range(n + 1):
-        total = total + seq.binomial(n, k) * x_powers[k] * y_powers[n - k]
-    return total
+    return seq.binomial_sum(n, powers(x, n + 1), powers(y, n + 1))
 
 
 def check_sheffer_basic(seq: AdmissibleSequence, n: int, x, y) -> IdentityReport:
@@ -214,9 +205,8 @@ def check_sheffer_basic(seq: AdmissibleSequence, n: int, x, y) -> IdentityReport
         "y": scalar_to_string(y),
     }
     direct = psi_plus_power(seq, x, y, n)
-    expanded = seq.field.zero
-    for k in range(n + 1):
-        expanded = expanded + seq.binomial(n, k) * (y ** k) * (x ** (n - k))
+    # powers by ``**``, independent of route one's power list
+    expanded = seq.binomial_sum(n, [y ** k for k in range(n + 1)], [x ** k for k in range(n + 1)])
     if direct != expanded:
         return failing(
             "eq11-basic", params, (n,), scalar_to_string(direct), scalar_to_string(expanded)

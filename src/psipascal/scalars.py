@@ -300,11 +300,13 @@ def _peval(a: tuple, point: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def _qpow_str(k: int) -> str:
-    return "q" if k == 1 else f"q^{k}"
+def _poly_terms(cs: tuple, number, power: str, times: str) -> str:
+    """Nonzero terms in ascending degree, each sign written as a separator.
 
-
-def _poly_str(cs: tuple) -> str:
+    The text and LaTeX forms differ only in how they write a coefficient's
+    magnitude (``number``), a power q^k with k >= 2 (the ``power`` format)
+    and the product sign (``times``).
+    """
     if not cs:
         return "0"
     parts = []
@@ -313,16 +315,20 @@ def _poly_str(cs: tuple) -> str:
             continue
         mag = abs(Fraction(c))
         if k == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = _qpow_str(k)
+            body = number(mag)
         else:
-            body = f"{mag}*{_qpow_str(k)}"
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
+            q_k = "q" if k == 1 else power.format(k)
+            body = q_k if mag == 1 else f"{number(mag)}{times}{q_k}"
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(body)
     return "".join(parts)
+
+
+def _poly_str(cs: tuple) -> str:
+    return _poly_terms(cs, str, "q^{}", "*")
 
 
 def _frac_latex(c: Fraction) -> str:
@@ -333,24 +339,7 @@ def _frac_latex(c: Fraction) -> str:
 
 
 def _poly_latex(cs: tuple) -> str:
-    if not cs:
-        return "0"
-    parts = []
-    for k, c in enumerate(cs):
-        if not c:
-            continue
-        frac = Fraction(c)
-        mag = abs(frac)
-        if k == 0:
-            body = _frac_latex(mag)
-        else:
-            power = "q" if k == 1 else f"q^{{{k}}}"
-            body = power if mag == 1 else f"{_frac_latex(mag)} {power}"
-        if not parts:
-            parts.append(f"-{body}" if frac < 0 else body)
-        else:
-            parts.append(f" - {body}" if frac < 0 else f" + {body}")
-    return "".join(parts)
+    return _poly_terms(cs, _frac_latex, "q^{{{}}}", " ")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 An admissible sequence assigns to every n >= 1 a nonzero scalar, its
 generalized integer.  Factorials, binomials and falling factorials are
 derived from those integers exactly as in the classical case, with the
-empty product equal to one.  Built-in sequences:
+empty product equal to one.  One method, ``binomial_sum``, forms the
+binomial convolution sum_k binomial(n, k) a_k b_(n-k) behind the product
+law, and one helper, ``powers``, every list of powers.  Built-in sequences:
 
 * ``classical``   n            (ordinary integers, over the rationals)
 * ``q``           1+q+...+q^(n-1)   (symbolic q-analog integers)
@@ -28,7 +30,7 @@ from .scalars import (
     ScalarField,
     infer_field,
     parse_rational,
-    parse_rational_function,
+    parse_scalar,
     scalar_to_string,
 )
 
@@ -54,6 +56,14 @@ class NormalityResult(NamedTuple):
     is_normal: bool
     first_failure: Optional[int]
     value: Optional[Scalar]
+
+
+def powers(x, n: int) -> list:
+    """x^0, x^1, ..., x^(n-1), each from the one before; x^0 alone when n < 1."""
+    out = [x ** 0]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
 
 
 class AdmissibleSequence:
@@ -138,16 +148,24 @@ class AdmissibleSequence:
             value = value * self.integer(m)
         return value
 
+    def binomial_sum(self, n: int, a: Sequence, b: Sequence) -> Scalar:
+        """The binomial convolution sum of binomial(n, k) a[k] b[n-k], k = 0 .. n.
+
+        Terms are added in ascending k, starting from zero.
+        """
+        total = self.field.zero
+        for k in range(n + 1):
+            total = total + self.binomial(n, k) * a[k] * b[n - k]
+        return total
+
     def is_normal_up_to(self, upper: int) -> NormalityResult:
         """Check that alternating binomial sums vanish for every 1 <= n <= upper.
 
         On failure reports the smallest failing n together with the nonzero sum.
         """
+        signs, ones = powers(-1, upper + 1), [1] * (upper + 1)
         for n in range(1, upper + 1):
-            total = self.field.zero
-            for k in range(n + 1):
-                term = self.binomial(n, k)
-                total = total - term if k % 2 else total + term
+            total = self.binomial_sum(n, signs, ones)
             if total != 0:
                 return NormalityResult(False, n, total)
         return NormalityResult(True, None, None)
@@ -194,19 +212,10 @@ def q_numeric(q0) -> AdmissibleSequence:
     reported as an admissibility error on first use.
     """
     q0 = Fraction(q0)
-
-    def int_fn(n: int) -> Fraction:
-        total = Fraction(0)
-        power = Fraction(1)
-        for _ in range(n):
-            total += power
-            power *= q0
-        return total
-
     return AdmissibleSequence(
         f"q={q0}",
         RATIONAL_FIELD,
-        int_fn,
+        lambda n: sum(powers(q0, n), Fraction(0)),
         family="q-numeric",
         selector=f"q={q0}",
         q_scalar=q0,
@@ -287,14 +296,7 @@ def from_selector(text: str) -> AdmissibleSequence:
         return fibonomial()
     if selector.startswith("custom:"):
         parts = selector[len("custom:") :].split(",")
-        entries = []
-        for part in parts:
-            part = part.strip()
-            try:
-                entries.append(parse_rational(part))
-            except ValueError:
-                entries.append(parse_rational_function(part))
-        return custom(entries)
+        return custom([parse_scalar(part.strip(), RATIONAL_FIELD) for part in parts])
     raise ValueError(
         f"unknown sequence selector {text!r}; expected one of {', '.join(BUILTIN_SELECTORS)}"
     )

@@ -309,6 +309,21 @@ class TestMomentAlgebra:
             gp = GeneralizedPascal.from_scalar_powers(seq, Fraction(3), 6)
             assert gp.matrix() == pascal_closed(seq, 6, Fraction(3))
 
+    def test_rational_function_moments_over_a_rational_sequence(self):
+        # the moments widen the field as pascal_closed does, instead of
+        # being forced into the sequence's field
+        x = (1 - 2 * q) / (4 + 6 * q)
+        gp = GeneralizedPascal.from_scalar_powers(classical(), q, 3)
+        assert gp.moments == (1, q, q * q)
+        assert GeneralizedPascal(classical(), (q ** k for k in range(3))) == gp
+        assert gp.matrix() == pascal_closed(classical(), 3, q)
+        gx = GeneralizedPascal.from_scalar_powers(classical(), x, 5)
+        assert gp.product(gp.inverse()).moments == (1, 0, 0)
+        assert gx.product(gx.inverse()).matrix() == LowerTriMatrix.identity(5)
+        assert gx.product(GeneralizedPascal(classical(), [1, 2, 3, 4, 5])).matrix() == matmul(
+            gx.matrix(), GeneralizedPascal(classical(), [1, 2, 3, 4, 5]).matrix()
+        )
+
     def test_product_agrees_with_matmul(self):
         rng = random.Random(_RNG_SEED)
         for seq in all_sequences():

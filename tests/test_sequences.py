@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psipascal import (
     AdmissibilityError,
@@ -13,12 +15,19 @@ from psipascal import (
     from_selector,
     q,
     q_numeric,
+    psi_plus_power,
     q_symbolic,
+    run_identity,
 )
 
 from oracles import fib, fibonomial as fibonomial_oracle, gaussian_binomial, poly_mul, q_integer
 
 RF = RationalFunction
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+# a Q(q) point that is never zero or a pole: (a + b q)/(d + q) with d >= 1
+points = st.builds(lambda a, b, d: (a + b * q) / (d + q), fractions, fractions.filter(bool), st.integers(1, 5))
+scalars = st.one_of(fractions, points)
 
 
 class TestIntegers:
@@ -131,6 +140,48 @@ class TestBinomials:
                 assert seq.binomial(n, k).denominator == (1,)
 
 
+def plain_binomial_sum(binomial, n, a, b):
+    total = Fraction(0)
+    for k in range(n + 1):
+        total = total + binomial(n, k) * a[k] * b[n - k]
+    return total
+
+
+def scalar_lists(n):
+    return st.lists(scalars, min_size=n + 1, max_size=n + 1)
+
+
+class TestBinomialSum:
+    @given(st.integers(0, 10), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_fibonomial_against_a_plain_loop(self, n, data):
+        a, b = data.draw(scalar_lists(n)), data.draw(scalar_lists(n))
+        expected = plain_binomial_sum(fibonomial_oracle, n, a, b)
+        assert fibonomial().binomial_sum(n, a, b) == expected
+
+    @given(st.integers(0, 7), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_gaussian_against_a_plain_loop(self, n, data):
+        a, b = data.draw(scalar_lists(n)), data.draw(scalar_lists(n))
+        gaussian = lambda n, k: RF.from_coefficients(gaussian_binomial(n, k))
+        assert q_symbolic().binomial_sum(n, a, b) == plain_binomial_sum(gaussian, n, a, b)
+
+    @given(points, points)
+    @settings(deadline=None, max_examples=20)
+    def test_powers_of_rational_function_points(self, x, y):
+        # a rational sequence widens to Q(q) at a Q(q) point
+        seq = fibonomial()
+        xs, ys = [x ** k for k in range(7)], [y ** k for k in range(7)]
+        for n in range(7):
+            value = seq.binomial_sum(n, xs, ys)
+            assert value == plain_binomial_sum(fibonomial_oracle, n, xs, ys)
+            assert value == psi_plus_power(seq, x, y, n)
+
+    def test_only_the_first_n_plus_one_entries_are_read(self):
+        assert classical().binomial_sum(2, [1, 2, 3, 99], [1, 1, 1, 99]) == 1 + 2 * 2 + 3
+        assert classical().binomial_sum(0, [5], [7]) == 35
+
+
 class TestFalling:
     def test_classical(self):
         assert classical().falling_factorial(5, 2) == 20
@@ -169,6 +220,20 @@ class TestNormality:
     def test_q_two_fails_at_two(self):
         result = q_numeric(2).is_normal_up_to(20)
         assert result == (False, 2, -1)
+
+    def test_bumped_binomial_memo_fails_at_its_row(self):
+        # a corrupted memo entry must surface at the first row that reads it;
+        # the key (6, 1) serves both k = 1 and k = 5
+        seq = classical()
+        seq.binomial(4, 2)
+        seq._binoms[(4, 2)] = seq._binoms[(4, 2)] + 1
+        assert seq.is_normal_up_to(20) == (False, 4, 1)
+        seq = classical()
+        seq.binomial(6, 1)
+        seq._binoms[(6, 1)] = seq._binoms[(6, 1)] + Fraction(1, 3)
+        assert seq.is_normal_up_to(20) == (False, 6, Fraction(-2, 3))
+        report = run_identity("normality", {"sequence": seq, "n": 10})
+        assert str(report.counterexample) == "at (6): lhs=-2/3 rhs=0"
 
 
 class TestCustomAndSelectors:

@@ -7,11 +7,16 @@ There are exactly two domains:
 * rational functions in one indeterminate ``q`` over the rationals,
   represented by :class:`RationalFunction`.
 
-A :class:`RationalFunction` is kept in a canonical form (numerator and
-denominator coprime, denominator monic, zero is 0/1, every integral
-coefficient stored as an ``int``) so that equality is a structural comparison
-of coefficient tuples.  Rationals embed into the
-rational-function domain as constants; the reverse direction is an error.
+A :class:`RationalFunction` is stored as a canonical pair of integer
+polynomials: numerator and denominator coprime, no integer factor common to
+all their coefficients, a positive leading denominator coefficient, zero as
+0/1.  By Gauss's lemma every quotient has exactly one such pair, so equality
+is a structural comparison of int tuples and the polynomial kernel never
+sees a ``Fraction``.  The monic-denominator form, with ``Fraction``
+coefficients where they are not integral, is derived only at the boundary:
+the public ``numerator``/``denominator``, the text and the LaTeX forms.
+Rationals embed into the rational-function domain as constants; the reverse
+direction is an error.
 
 All values are immutable and all operations are pure, so they can be shared
 freely between threads.
@@ -65,49 +70,29 @@ class PoleError(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial kernel (ascending coefficient tuples, () is zero)
+# dense polynomial kernel (ascending integer coefficient tuples, () is zero)
 #
-# A coefficient is an int, or a Fraction only when it is not integral.  Every
-# inner loop runs on ints: products of integer polynomials with enough dense
-# terms are done as one big-int product (Kronecker substitution), Fraction
-# operands are multiplied after clearing their denominators, and
-# canonicalisation splits both sides into a rational content times a
-# primitive integer polynomial, then divides out their gcd over Z.
+# Every coefficient the kernel sees is an int.  A rational function is stored
+# as a pair of integer polynomials (see RationalFunction); the only Fraction
+# coefficients are the public constructor's input, cleared in _primitive, and
+# the monic form the public accessors derive.  Products of operands with
+# enough dense terms are one big-int product (Kronecker substitution), and
+# canonicalisation splits both sides into an integer content times a
+# primitive polynomial, then divides out their gcd over Z.
 # ---------------------------------------------------------------------------
-
-_Coeff = Union[int, Fraction]
 
 # Fewest terms each operand needs for the packed product.  Replaying every
 # product of `check eq4 -s q` and `check eq11-basic -s q` through both loops
 # on CPython 3.11 put the break-even at 8-9 terms in the shorter operand.
 _PACK_CUTOFF = 10
 
-_INT_ONLY = frozenset((int,))
-
-
-def _coeff(c) -> _Coeff:
-    # integral values collapse to int so the hot paths stay on ints
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
 
 def _ptrim(cs) -> tuple:
-    """Canonical tuple: trailing zeros dropped, integral values as int."""
+    """Canonical tuple: trailing zeros dropped."""
     n = len(cs)
     while n and not cs[n - 1]:
         n -= 1
-    out = tuple(cs[:n])
-    if _INT_ONLY.issuperset(map(type, out)):
-        return out
-    return tuple(map(_coeff, out))
-
-
-def _pconst(c) -> tuple:
-    c = _coeff(c)
-    return (c,) if c else ()
+    return tuple(cs[:n])
 
 
 def _padd(a: tuple, b: tuple) -> tuple:
@@ -118,17 +103,6 @@ def _padd(a: tuple, b: tuple) -> tuple:
 
 def _pneg(a: tuple) -> tuple:
     return tuple(map(neg, a))
-
-
-def _clear(a: tuple) -> tuple:
-    """(d, ints) with a == ints / d, d the least common denominator.
-
-    ``a`` is canonical, so its zeros are ints and only nonzero terms are read.
-    """
-    if _INT_ONLY.issuperset(map(type, compress(a, a))):
-        return 1, a
-    d = lcm(*{c.denominator for c in a if type(c) is Fraction})
-    return d, tuple(c * d if type(c) is int else c.numerator * (d // c.denominator) for c in a)
 
 
 def _dense(a: tuple) -> bool:
@@ -144,16 +118,10 @@ def _pmul(a: tuple, b: tuple) -> tuple:
         return (0,) * (len(a) - 1) + b
     if b[-1] == 1 and b.count(0) == len(b) - 1:
         return (0,) * (len(b) - 1) + a
-    da, a = _clear(a)
-    db, b = _clear(b)
+    # the leading product is nonzero, so neither loop's result needs a trim
     if _dense(a) and _dense(b):
-        out = _pmul_packed(a, b)
-    else:
-        out = _pmul_school(a, b)
-    d = da * db
-    if d == 1:
-        return out  # the leading product is nonzero, nothing to trim
-    return tuple(_coeff(Fraction(c, d)) for c in out)
+        return _pmul_packed(a, b)
+    return _pmul_school(a, b)
 
 
 def _pmul_school(a: tuple, b: tuple) -> tuple:
@@ -209,14 +177,22 @@ def _ppow(a: tuple, e: int) -> tuple:
 
 
 def _primitive(a: tuple) -> tuple:
-    """(content, p) with a == content * p, p primitive over Z with positive lead."""
-    d, ints = _clear(a)
-    g = gcd(*ints)
-    if ints[-1] < 0:
+    """(content, p) with a == content * p, p primitive over Z with positive lead.
+
+    The content is an int.  Only the public constructor's input can hold
+    other coefficients (Fractions); math.gcd rejects them, and they are
+    cleared here, which makes the content a Fraction.
+    """
+    try:
+        g = gcd(*a)
+    except TypeError:
+        fs = [Fraction(c) for c in a]
+        d = lcm(*[f.denominator for f in fs])
+        g, a = _primitive(tuple([f.numerator * (d // f.denominator) for f in fs]))
+        return Fraction(g, d), a
+    if a[-1] < 0:
         g = -g
-    if g != 1:
-        ints = tuple(c // g for c in ints)
-    return Fraction(g, d), ints
+    return g, (a if g == 1 else tuple([c // g for c in a]))
 
 
 def _pexquo(a: tuple, b: tuple):
@@ -281,11 +257,8 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
     return (1,)
 
 
-def _pscale(a: tuple, k: Fraction) -> tuple:
-    n, d = k.numerator, k.denominator
-    if d == 1:
-        return tuple([n * c for c in a])
-    return tuple([_coeff(Fraction(n * c, d)) for c in a])
+def _pscale(a: tuple, k: int) -> tuple:
+    return a if k == 1 else tuple([k * c for c in a])
 
 
 def _peval(a: tuple, point: Fraction):
@@ -348,15 +321,27 @@ def _poly_latex(cs: tuple) -> str:
 
 
 def _to_poly(value) -> tuple:
-    if isinstance(value, (int, Fraction)):
-        return _pconst(value)
     if isinstance(value, RationalFunction):
         raise TypeError("polynomial coefficients expected, not a RationalFunction")
-    return _ptrim(tuple(value))
+    return _ptrim((value,) if isinstance(value, (int, Fraction)) else tuple(value))
+
+
+def _over(cs: tuple, d: int) -> tuple:
+    """cs / d, with integral values as int and the others as Fraction."""
+    if d == 1:
+        return cs
+    return tuple([Fraction(c, d) if c % d else c // d for c in cs])
 
 
 class RationalFunction:
-    """A reduced quotient of two polynomials in q with rational coefficients."""
+    """A reduced quotient of two polynomials in q with rational coefficients.
+
+    It is stored as the one pair of integer polynomials (num, den) that are
+    coprime, share no integer factor across all their coefficients, and give
+    den a positive leading coefficient (Gauss's lemma makes this pair unique),
+    so equality is a comparison of int tuples.  The public ``numerator`` and
+    ``denominator`` give the monic-denominator form instead.
+    """
 
     __slots__ = ("_num", "_den")
 
@@ -368,25 +353,20 @@ class RationalFunction:
         if not num:
             self._num, self._den = (), (1,)
             return
-        # fraction-free: num/den == k * num'/den' with num', den' primitive
-        # over Z, so by Gauss's lemma divisibility over Q is divisibility over Z
+        # num/den == (cn/cd) * num'/den' with num', den' primitive over Z, so
+        # by Gauss's lemma divisibility over Q is divisibility over Z
         cn, num = _primitive(num)
         cd, den = _primitive(den)
-        k = cn / cd
         if len(den) > 1:
             quo = _pexquo(num, den)
             if quo is not None:
                 num, den = quo, (1,)
-            else:
-                if len(num) > 1:
-                    g = _pgcd(num, den)
-                    if len(g) > 1:
-                        num, den = _pexquo(num, g), _pexquo(den, g)
-                lead = den[-1]
-                if lead != 1:
-                    k /= lead
-                    den = _pscale(den, Fraction(1, lead))
-        self._num, self._den = _pscale(num, k), den
+            elif len(num) > 1:
+                g = _pgcd(num, den)
+                if len(g) > 1:
+                    num, den = _pexquo(num, g), _pexquo(den, g)
+        k = Fraction(cn, cd)
+        self._num, self._den = _pscale(num, k.numerator), _pscale(den, k.denominator)
 
     @classmethod
     def _make(cls, num: tuple, den: tuple) -> "RationalFunction":
@@ -407,25 +387,26 @@ class RationalFunction:
 
     @property
     def numerator(self) -> tuple:
-        """Ascending numerator coefficients (ints or Fractions)."""
-        return self._num
+        """Ascending numerator coefficients over the monic denominator (ints or Fractions)."""
+        return _over(self._num, self._den[-1])
 
     @property
     def denominator(self) -> tuple:
-        return self._den
+        """Ascending coefficients of the monic denominator (ints or Fractions)."""
+        return _over(self._den, self._den[-1])
 
     @property
     def is_polynomial(self) -> bool:
-        return self._den == (1,)
+        return len(self._den) == 1
 
     @property
     def is_constant(self) -> bool:
-        return self._den == (1,) and len(self._num) <= 1
+        return len(self._den) == 1 and len(self._num) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise FieldMismatchError(f"{self} is not a constant")
-        return Fraction(self._num[0]) if self._num else Fraction(0)
+        return Fraction(self._num[0] if self._num else 0, self._den[0])
 
     def eval_at(self, point) -> Fraction:
         """Exact substitution q := point; raises PoleError at denominator roots."""
@@ -442,7 +423,7 @@ class RationalFunction:
         if isinstance(value, RationalFunction):
             return value
         if isinstance(value, (int, Fraction)):
-            return RationalFunction._make(_pconst(value), (1,))
+            return RationalFunction._make((value.numerator,) if value else (), (value.denominator,))
         return None
 
     def __add__(self, other):
@@ -516,7 +497,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            return self.is_constant and (self._num[0] if self._num else 0) == other
+            return self.is_constant and (self._num[0] if self._num else 0) == other * self._den[0]
         return NotImplemented
 
     def __hash__(self):
@@ -527,7 +508,7 @@ class RationalFunction:
     def __str__(self):
         if self.is_constant:
             return str(self.constant_value())
-        return f"({_poly_str(self._num)})/({_poly_str(self._den)})"
+        return f"({_poly_str(self.numerator)})/({_poly_str(self.denominator)})"
 
     def __repr__(self):
         return f"RationalFunction({str(self)!r})"
@@ -574,9 +555,6 @@ class ScalarField:
 
     def parse(self, text: str) -> Scalar:
         return parse_scalar(text, self)
-
-    def to_string(self, value) -> str:
-        return scalar_to_string(self.coerce(value))
 
     def join(self, other: "ScalarField") -> "ScalarField":
         return self if self is other or self.symbolic else other
@@ -634,6 +612,12 @@ def scalar_to_latex(value) -> str:
 
 _DIGITS = "0123456789"
 
+# Largest k accepted in q^k.  A parsed polynomial holds one coefficient per
+# degree, so without a bound a short text such as q^1000000000 would ask for
+# a billion-entry list; the largest degree any catalog result reaches is far
+# below this.
+MAX_Q_EXPONENT = 100_000
+
 
 class _Cursor:
     __slots__ = ("text", "pos")
@@ -689,13 +673,17 @@ def parse_rational(text: str) -> Fraction:
 
 def _parse_q_exponent(cur: _Cursor) -> int:
     cur.expect("q")
-    if cur.peek() == "^":
-        cur.pos += 1
-        return cur.take_uint("exponent digits")
-    return 1
+    if cur.peek() != "^":
+        return 1
+    cur.pos += 1
+    start = cur.pos
+    exponent = cur.take_uint("exponent digits")
+    if exponent > MAX_Q_EXPONENT:
+        raise ScalarParseError(f"exponent of q above {MAX_Q_EXPONENT}", start)
+    return exponent
 
 
-def _parse_poly_body(cur: _Cursor) -> tuple:
+def _parse_poly_body(cur: _Cursor) -> list:
     coeffs: dict[int, Fraction] = {}
     sign = 1
     cur.skip_spaces()
@@ -724,12 +712,10 @@ def _parse_poly_body(cur: _Cursor) -> tuple:
         else:
             break
         cur.pos += 1
-    if not coeffs:
-        return ()
     out = [Fraction(0)] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
-    return _ptrim(out)
+    return out
 
 
 def parse_rational_function(text: str) -> RationalFunction:
@@ -750,11 +736,11 @@ def parse_rational_function(text: str) -> RationalFunction:
         cur.expect(")")
     else:
         num = _parse_poly_body(cur)
-        den = (1,)
+        den = [1]
     cur.skip_spaces()
     if cur.pos != len(text):
         raise ScalarParseError("unexpected character", cur.pos)
-    if not den:
+    if not any(den):
         raise ScalarParseError("zero denominator polynomial", len(text) - 1)
     return RationalFunction(num, den)
 

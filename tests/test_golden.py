@@ -200,6 +200,15 @@ ERRORS = [
         ["check", "eq4", "-s", "custom:1,2", "-n", "10"],
         "custom sequence defines integers only up to n = 2",
     ),
+    # q^k above scalars.MAX_Q_EXPONENT is refused before any coefficient list is built
+    (
+        ["check", "semigroup", "-s", "q", "-n", "2", "--x", "q^1000000000"],
+        "parameter 'x': exponent of q above 100000 (offset 2)",
+    ),
+    (
+        ["seq", "-s", "custom:1,(1)/(2 + q^100001)", "-n", "2"],
+        "exponent of q above 100000 (offset 11)",
+    ),
 ]
 
 

@@ -205,6 +205,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_scalars(sys.argv[1:] if argv is None else argv))
     handlers = {"seq": _cmd_seq, "gen": _cmd_gen, "check": _cmd_check, "suite": _cmd_suite}
+    # exact values print at any length: the interpreter's cap on int-to-text
+    # conversion (3.10.7 and later) is lifted, as scalar text is capped by
+    # the parser itself (scalars.MAX_DIGITS)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return handlers[args.command](args)
     except (

@@ -1,20 +1,21 @@
 """Exact matrix layer: subdiagonal generators, Pascal-type and symmetric
 binomial matrices, moment matrices, products, and the matrix-level checks.
 
-One storage core holds every matrix: immutable rows of exact scalars from
-one of the two field domains, with rationals promoting to rational
-functions on contact.  The two public constructors differ only in the
-shape they check: lower-triangular matrices store the triangle (row i
-holds i+1 entries), while the symmetric binomial ("Fermat") matrix and
-transposes are dense squares.  Entries past a row's end read as zeros, and
-equality and hashing go by the nonzero entries, so equal matrices of either
-shape or field compare and hash alike.  Products, scaling and sums are
-formed over nonzero entries only, so powers of the subdiagonal generator
-cost in proportion to their single nonzero diagonal; their results, and
-transposes, are built without re-coercing entries that already belong to
-the result field.  The closed-form Pascal-type matrix P[x] is the moment
-matrix of the powers of x, and the checks share one entry comparison and
-one weighted Vandermonde sum.
+One storage format holds every matrix: each row is a dict from column to
+nonzero entry, over one of the two field domains, with rationals promoting
+to rational functions on contact.  The two public constructors differ only
+in the shape they check: lower-triangular matrices have the triangle (row i
+has i+1 positions), while the symmetric binomial ("Fermat") matrix and
+transposes are squares.  Every position a row's dict does not hold reads
+as zero; the dense rows, zeros included, are built only on demand, for
+printing and entry-by-entry checks.  Equality and hashing go by the stored
+entries alone, so equal matrices of either shape or field compare and hash
+alike.  Products, scaling, sums and transposes touch stored entries only,
+so powers of the subdiagonal generator cost in proportion to their single
+nonzero diagonal, and their results are built without re-coercing entries
+that already belong to the result field.  The closed-form Pascal-type
+matrix P[x] is the moment matrix of the powers of x, and the checks share
+one entry comparison and one weighted Vandermonde sum.
 """
 
 from __future__ import annotations
@@ -59,42 +60,39 @@ __all__ = [
 ]
 
 
-def _coerce_rows(rows, field: ScalarField) -> tuple:
-    # each row is built as a list first: tuple(<generator>) over-allocates
-    # and resizes, which fills CPython's per-length tuple free lists
-    return tuple([tuple([field.coerce(v) for v in row]) for row in rows])
-
-
 class _Matrix:
-    """Storage shared by both shapes: immutable rows of scalars of one field.
+    """Storage shared by both shapes: per row, one dict from column to entry.
 
-    Entries past the end of a stored row are zeros, so one ``entry`` serves
-    the triangle and the square.  ``_nonzero`` caches, per row, the list of
-    (column, entry) pairs with a nonzero entry; products, scaling, sums,
-    equality and hashing walk those pairs only, so a triangle and a square,
-    or a Q matrix and its Q(q) copy, with equal entries are equal and hash
-    alike.
+    A row's dict holds its nonzero entries only, each of the type of
+    ``field``; every other position reads as ``field.zero``, so one
+    ``entry`` serves the triangle and the square.  The order of a dict's
+    items carries no meaning: equality is dict equality and the hash is
+    taken over unordered items, so a triangle and a square, or a Q matrix
+    and its Q(q) copy, with equal entries are equal and hash alike.
     """
 
-    __slots__ = ("_rows", "_field", "_nonzero")
+    __slots__ = ("_rows", "_field")
 
-    def _fill(self, rows, field: Optional[ScalarField], lower: bool) -> None:
+    def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
         # the validating path of the public constructors; results of
         # operations skip it through _make
         rows = [list(r) for r in rows]
+        lower = isinstance(self, LowerTriMatrix)
         for i, row in enumerate(rows):
             width = i + 1 if lower else len(rows)
             if len(row) != width:
                 raise ValueError(f"row {i} must have {width} entries, got {len(row)}")
         fld = infer_field(chain.from_iterable(rows), field)
-        self._rows, self._field, self._nonzero = _coerce_rows(rows, fld), fld, None
+        # every entry is coerced, zeros too, before the zeros are dropped
+        self._rows = [{j: v for j, v in enumerate(map(fld.coerce, row)) if v} for row in rows]
+        self._field = fld
 
     @classmethod
-    def _make(cls, rows: tuple, field: ScalarField, nonzero: Optional[list] = None):
-        # trusted constructor: rows are tuples of the right shape whose
-        # entries already have the type of ``field``; nothing is re-coerced
+    def _make(cls, rows: list, field: ScalarField):
+        # trusted constructor: a list of dicts of nonzero entries, in the
+        # shape's columns, that already have the type of ``field``
         obj = object.__new__(cls)
-        obj._rows, obj._field, obj._nonzero = rows, field, nonzero
+        obj._rows, obj._field = rows, field
         return obj
 
     @property
@@ -107,40 +105,42 @@ class _Matrix:
 
     @property
     def rows(self) -> tuple:
-        return self._rows
-
-    def _nonzero_rows(self) -> list:
-        if self._nonzero is None:
-            self._nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in self._rows]
-        return self._nonzero
+        """Dense rows, built on demand: the triangle or the square, zeros included."""
+        n, zero = len(self._rows), self._field.zero
+        lower = isinstance(self, LowerTriMatrix)
+        return tuple([
+            tuple([row.get(j, zero) for j in range(i + 1 if lower else n)])
+            for i, row in enumerate(self._rows)
+        ])
 
     def entry(self, i: int, j: int) -> Scalar:
-        row = self._rows[i]
-        return row[j] if j < len(row) else self._field.zero
+        return self._rows[i].get(j, self._field.zero)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._nonzero_rows())
+        return not any(self._rows)
 
     @property
     def has_zero_diagonal(self) -> bool:
-        return all(not row[i] for i, row in enumerate(self._rows))
+        return all(i not in row for i, row in enumerate(self._rows))
 
     def transpose(self) -> "SquareMatrix":
-        n = self.size
-        rows = tuple([tuple([self.entry(j, i) for j in range(n)]) for i in range(n)])
-        return SquareMatrix._make(rows, self._field)
+        cols = [{} for _ in self._rows]
+        for i, row in enumerate(self._rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return SquareMatrix._make(cols, self._field)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __eq__(self, other):
         if isinstance(other, _Matrix):
-            return self._nonzero_rows() == other._nonzero_rows()
+            return self._rows == other._rows
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(map(tuple, self._nonzero_rows())))
+        return hash(tuple([frozenset(row.items()) for row in self._rows]))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.size}x{self.size} over {self._field.name}>"
@@ -152,53 +152,50 @@ class LowerTriMatrix(_Matrix):
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
-        self._fill(rows, field, lower=True)
+        # each public class defines its own __init__: the benchmark's tracer
+        # wraps the one in the class's __dict__
+        super().__init__(rows, field)
 
     @classmethod
     def identity(cls, n: int, field: ScalarField = RATIONAL_FIELD) -> "LowerTriMatrix":
-        zero, one = field.zero, field.one
-        rows = tuple([tuple([zero] * i + [one]) for i in range(n)])
-        return cls._make(rows, field, [[(i, one)] for i in range(n)])
+        one = field.one
+        return cls._make([{i: one} for i in range(n)], field)
 
     def scale(self, value) -> "LowerTriMatrix":
-        fld = self._field.join(field_of(value))
-        zero = fld.zero
-        rows, nonzero = [], []
-        for row, pairs in zip(self._rows, self._nonzero_rows()):
-            # a field has no zero divisors: the nonzero pattern is kept
-            pairs = [(j, v * value) for j, v in pairs] if value else []
-            out = [zero] * len(row)
-            for j, v in pairs:
-                out[j] = v
-            rows.append(tuple(out))
-            nonzero.append(pairs)
-        return LowerTriMatrix._make(tuple(rows), fld, nonzero)
+        # a field has no zero divisors: the nonzero pattern is kept
+        rows = [{j: v * value for j, v in row.items()} if value else {} for row in self._rows]
+        return LowerTriMatrix._make(rows, self._field.join(field_of(value)))
 
     def __add__(self, other):
         if not isinstance(other, LowerTriMatrix) or other.size != self.size:
             return NotImplemented
         fld = self._field.join(other._field)
         # only an operand over Q added to one over Q(q) needs coercing
-        mine = self._rows if self._field is fld else _coerce_rows(self._rows, fld)
-        theirs = other._nonzero_rows()
-        if other._field is not fld:
-            theirs = [[(j, fld.coerce(v)) for j, v in pairs] for pairs in theirs]
+        mine, theirs = (
+            m._rows if m._field is fld
+            else [{j: fld.coerce(v) for j, v in row.items()} for row in m._rows]
+            for m in (self, other)
+        )
         rows = []
-        for row, pairs in zip(mine, theirs):
-            out = list(row)
-            for j, v in pairs:
-                out[j] = out[j] + v if out[j] else v
-            rows.append(tuple(out))
-        return LowerTriMatrix._make(tuple(rows), fld)
+        for row, addend in zip(mine, theirs):
+            out = dict(row)
+            for j, v in addend.items():
+                if j in out:
+                    v = out.pop(j) + v
+                if v:
+                    out[j] = v
+            rows.append(out)
+        return LowerTriMatrix._make(rows, fld)
 
 
 class SquareMatrix(_Matrix):
-    """Dense square matrix over an exact scalar field."""
+    """Square matrix over an exact scalar field; its zeros are not stored."""
 
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence], field: Optional[ScalarField] = None):
-        self._fill(rows, field, lower=False)
+        # its own __init__, as in LowerTriMatrix, for the benchmark's tracer
+        super().__init__(rows, field)
 
 
 def matmul(a, b):
@@ -206,36 +203,25 @@ def matmul(a, b):
 
     For each nonzero a[i][k], a[i][k] * b[k][j] is added into row i for each
     nonzero b[k][j] (Gustavson's row-wise product), so the cost follows the
-    nonzeros rather than n^3.  Each entry sums its terms in ascending k, as
-    the dense triple loop does.  Triangular times triangular stays triangular;
-    every other shape gives a dense square.
+    nonzeros rather than n^3.  Triangular times triangular stays triangular;
+    every other shape gives a square.
     """
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    n = a.size
-    field = a.field.join(b.field)
-    zero = field.zero
     lower = isinstance(a, LowerTriMatrix) and isinstance(b, LowerTriMatrix)
-    b_rows = b._nonzero_rows()
-    rows, nonzero = [], []
-    for i, pairs in enumerate(a._nonzero_rows()):
-        out = [zero] * (i + 1 if lower else n)
-        touched = []
-        for k, av in pairs:
-            for j, bv in b_rows[k]:
+    b_rows = b._rows
+    rows = []
+    for a_row in a._rows:
+        out = {}
+        for k, av in a_row.items():
+            for j, bv in b_rows[k].items():
                 # a product already has the result field's type: at least one
                 # factor does, and Q(q) absorbs Q
-                acc = out[j]
-                if acc is zero:
-                    out[j] = av * bv
-                    touched.append(j)
-                else:
-                    out[j] = acc + av * bv
-        rows.append(tuple(out))
-        # only touched entries can be nonzero; a sum may still cancel to 0
-        touched.sort()
-        nonzero.append([(j, out[j]) for j in touched if out[j]])
-    return (LowerTriMatrix if lower else SquareMatrix)._make(tuple(rows), field, nonzero)
+                acc = out.get(j)
+                out[j] = av * bv if acc is None else acc + av * bv
+        # a sum may cancel to 0
+        rows.append({j: v for j, v in out.items() if v})
+    return (LowerTriMatrix if lower else SquareMatrix)._make(rows, a.field.join(b.field))
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +361,11 @@ class GeneralizedPascal:
 
 
 def _first_mismatch(identity: str, params: dict, actual, expected) -> IdentityReport:
-    """Compare ``actual`` with ``expected(i, j)`` over the entries ``actual`` stores.
+    """Compare ``actual`` with ``expected(i, j)`` at every position of its shape.
 
-    Rows and columns are walked in ascending order, so the range is the
-    triangle or the square by the shape of ``actual``, and the first
-    differing entry is the reported counterexample.
+    The dense rows of ``actual``, zeros included, are walked in ascending
+    row and column order over the triangle or the square, so the first
+    differing position is the reported counterexample.
     """
     for i, row in enumerate(actual.rows):
         for j, lhs in enumerate(row):
@@ -406,11 +392,11 @@ def check_nilpotency(seq: AdmissibleSequence, n: int) -> IdentityReport:
     if power.is_zero:
         return failing("nilpotent", params, (n - 1,), "0", "nonzero", detail=f"K^{n - 1} vanished")
     power = matmul(power, matrix)
-    for i, pairs in enumerate(power._nonzero_rows()):
-        if pairs:
-            j, value = pairs[0]
+    for i, row in enumerate(power._rows):
+        if row:
+            j = min(row)
             return failing(
-                "nilpotent", params, (n, i, j), scalar_to_string(value), "0",
+                "nilpotent", params, (n, i, j), scalar_to_string(row[j]), "0",
                 detail=f"K^{n} has a nonzero entry",
             )
     return passing("nilpotent", params)

@@ -21,7 +21,7 @@ positive degree; that coincidence is special to the q case.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .report import IdentityReport, failing, passing
 from .scalars import Scalar, ScalarField, field_of, scalar_to_string
@@ -142,11 +142,10 @@ def qhat_ratio(seq: AdmissibleSequence) -> DiagOperator:
     )
 
 
-def qhat_power(base, selector: Optional[str] = None) -> DiagOperator:
+def qhat_power(base) -> DiagOperator:
     """The mutator multiplying x^m by base^m."""
     field = field_of(base)
-    if selector is None:
-        selector = "qhat-power:q" if field.symbolic else f"qhat-power:q={scalar_to_string(base)}"
+    selector = "qhat-power:q" if field.symbolic else f"qhat-power:q={scalar_to_string(base)}"
     return DiagOperator(f"power mutator base {scalar_to_string(base)}", selector, field, lambda m: base ** m)
 
 

@@ -618,6 +618,12 @@ _DIGITS = "0123456789"
 # below this.
 MAX_Q_EXPONENT = 100_000
 
+# Longest run of digits accepted in one number.  It equals CPython's default
+# limit on converting text to int, so a longer run gets this parser's own
+# error, with the offset of its first digit, whether or not that limit is
+# set; the CLI lifts the limit so that exact values print at any length.
+MAX_DIGITS = 4300
+
 
 class _Cursor:
     __slots__ = ("text", "pos")
@@ -644,6 +650,8 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise ScalarParseError(f"expected {what}", self.pos)
+        if self.pos - start > MAX_DIGITS:
+            raise ScalarParseError(f"more than {MAX_DIGITS} digits in one number", start)
         return int(self.text[start : self.pos])
 
 

@@ -28,6 +28,7 @@ from .scalars import (
     RationalFunction,
     Scalar,
     ScalarField,
+    ScalarParseError,
     infer_field,
     parse_rational,
     parse_scalar,
@@ -75,17 +76,13 @@ class AdmissibleSequence:
         field: ScalarField,
         int_fn: Callable[[int], Scalar],
         *,
-        family: str,
         selector: str,
         q_scalar: Optional[Scalar] = None,
-        description: str = "",
     ):
         self.name = name
         self.field = field
-        self.family = family
         self.selector = selector
         self.q_scalar = q_scalar
-        self.description = description
         self._int_fn = int_fn
         self._ints: dict[int, Scalar] = {}
         self._facts: dict[int, Scalar] = {0: field.one}
@@ -185,9 +182,7 @@ def classical() -> AdmissibleSequence:
         "classical",
         RATIONAL_FIELD,
         lambda n: Fraction(n),
-        family="classical",
         selector="classical",
-        description="ordinary integers n",
     )
 
 
@@ -197,10 +192,8 @@ def q_symbolic() -> AdmissibleSequence:
         "q-symbolic",
         RATIONAL_FUNCTION_FIELD,
         lambda n: RationalFunction.from_coefficients((1,) * n),
-        family="q-symbolic",
         selector="q",
         q_scalar=RationalFunction.generator(),
-        description="q-analog integers, q symbolic",
     )
 
 
@@ -216,10 +209,8 @@ def q_numeric(q0) -> AdmissibleSequence:
         f"q={q0}",
         RATIONAL_FIELD,
         lambda n: sum(powers(q0, n), Fraction(0)),
-        family="q-numeric",
         selector=f"q={q0}",
         q_scalar=q0,
-        description=f"q-analog integers at q = {q0}",
     )
 
 
@@ -236,13 +227,11 @@ def fibonomial() -> AdmissibleSequence:
         "fibonomial",
         RATIONAL_FIELD,
         lambda n: Fraction(_fibonacci(n)),
-        family="fibonomial",
         selector="fibonomial",
-        description="Fibonacci integers F_n",
     )
 
 
-def custom(entries: Sequence, name: str = "custom") -> AdmissibleSequence:
+def custom(entries: Sequence) -> AdmissibleSequence:
     """A finite user-supplied list of integers for n = 1 .. len(entries).
 
     Every entry must be nonzero; a zero entry is rejected immediately with
@@ -266,14 +255,7 @@ def custom(entries: Sequence, name: str = "custom") -> AdmissibleSequence:
         return values[n - 1]
 
     selector = "custom:" + ",".join(scalar_to_string(v) for v in values)
-    return AdmissibleSequence(
-        name,
-        field,
-        int_fn,
-        family="custom",
-        selector=selector,
-        description="user-supplied integers",
-    )
+    return AdmissibleSequence("custom", field, int_fn, selector=selector)
 
 
 BUILTIN_SELECTORS = ("classical", "q", "q=<rational>", "fibonomial", "custom:<scalars>")
@@ -295,8 +277,18 @@ def from_selector(text: str) -> AdmissibleSequence:
     if selector == "fibonomial":
         return fibonomial()
     if selector.startswith("custom:"):
-        parts = selector[len("custom:") :].split(",")
-        return custom([parse_scalar(part.strip(), RATIONAL_FIELD) for part in parts])
+        entries, start = [], len("custom:")
+        for index, part in enumerate(selector[start:].split(",")):
+            text = part.strip()
+            try:
+                entries.append(parse_scalar(text, RATIONAL_FIELD))
+            except ScalarParseError as exc:
+                # the offset counts from the selector's first character
+                offset = start + part.index(text) + exc.position
+                message = f"custom sequence entry {index + 1}: {exc.message}"
+                raise ScalarParseError(message, offset) from None
+            start += len(part) + 1
+        return custom(entries)
     raise ValueError(
         f"unknown sequence selector {text!r}; expected one of {', '.join(BUILTIN_SELECTORS)}"
     )

@@ -101,6 +101,20 @@ class TestSeq:
         assert code == 0
         assert out.splitlines()[0] == "k,integer,factorial,binomial"
 
+    def test_values_longer_than_the_int_text_limit_print_exactly(self):
+        # F_1 * ... * F_220 has more digits than CPython's default limit
+        # on int-to-text conversion; a fresh interpreter starts with it set
+        proc = run_subprocess("seq", "-s", "fibonomial", "-n", "220")
+        assert proc.returncode == 0, proc.stderr
+        a, b, product = 0, 1, 1
+        for _ in range(220):
+            a, b = b, a + b
+            product *= a
+        [line] = [ln for ln in proc.stdout.splitlines() if ln.startswith("factorials: ")]
+        last = line.split()[-1]
+        assert len(last) > 4300
+        assert int(last) == product
+
     def test_root_of_unity_reports_usage_error(self, capsys):
         code, _, err = run_main(capsys, "seq", "-s", "q=-1", "-n", "4")
         assert code == 2

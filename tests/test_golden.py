@@ -205,11 +205,25 @@ ERRORS = [
         ["check", "semigroup", "-s", "q", "-n", "2", "--x", "q^1000000000"],
         "parameter 'x': exponent of q above 100000 (offset 2)",
     ),
+    # the offset of a custom: entry counts from the selector's first character
     (
         ["seq", "-s", "custom:1,(1)/(2 + q^100001)", "-n", "2"],
-        "exponent of q above 100000 (offset 11)",
+        "custom sequence entry 2: exponent of q above 100000 (offset 20)",
+    ),
+    # a digit run above scalars.MAX_DIGITS is refused before int() sees it
+    (
+        ["check", "semigroup", "-s", "classical", "-n", "2", "--x", "1" * 5000],
+        "parameter 'x': more than 4300 digits in one number (offset 0)",
+    ),
+    (
+        ["check", "semigroup", "-s", "q", "-n", "2", "--x", "q^" + "1" * 5000],
+        "parameter 'x': more than 4300 digits in one number (offset 2)",
     ),
 ]
+
+
+def _test_id(argv):
+    return " ".join(arg if len(arg) <= 40 else f"<{len(arg)} characters>" for arg in argv)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +236,7 @@ def test_stdout_matches_pinned_digest(argv, exit_code, size, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, message", ERRORS, ids=[" ".join(e[0]) for e in ERRORS])
+@pytest.mark.parametrize("argv, message", ERRORS, ids=[_test_id(e[0]) for e in ERRORS])
 def test_parameter_error_matches_pinned_message(argv, message):
     proc = subprocess.run([sys.executable, "-m", "psipascal", *argv], capture_output=True)
     assert proc.returncode == 2

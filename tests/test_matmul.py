@@ -5,8 +5,9 @@
 re-coercing entries.  Every result is checked against the dense
 triple-loop oracle in ``oracles.py`` and for the representation invariants
 the trusted constructor must keep: the shape, the field (the join of the
-operands' fields), the type of every entry and the cached nonzero pattern.
-Equality and hashing go by nonzero entries, across both shapes and fields.
+operands' fields), and row dicts that hold exactly the nonzero entries,
+each of the field's type.  Equality and hashing go by nonzero entries,
+across both shapes and fields, whatever order a row's dict holds them in.
 
 Q(q) entries are polynomials of degree at most 2, so every entry of a
 product or sum has degree at most 4 and is fixed by its values at the five
@@ -104,9 +105,8 @@ def assert_well_formed(result, lower, field):
     assert [len(row) for row in result.rows] == [i + 1 if lower else n for i in range(n)]
     entry_type = Fraction if field is RATIONAL_FIELD else RationalFunction
     assert all(type(v) is entry_type for row in result.rows for v in row)
-    assert result._nonzero_rows() == [
-        [(j, v) for j, v in enumerate(row) if v] for row in result.rows
-    ]
+    assert result._rows == [{j: v for j, v in enumerate(row) if v} for row in result.rows]
+    assert all(type(v) is entry_type and v for row in result._rows for v in row.values())
 
 
 class TestProduct:
@@ -224,3 +224,13 @@ class TestEqualityAndHash:
         assert LowerTriMatrix.identity(2) != LowerTriMatrix.identity(3)
         assert SquareMatrix([[0, 0], [0, 0]]) != SquareMatrix([[0]])
         assert LowerTriMatrix([[1]]) != ((1,),)
+
+    def test_equality_and_hash_ignore_the_order_columns_were_stored_in(self):
+        # row 0 of the product gets column 1 from b[0] before column 0 from b[1]
+        product = matmul(SquareMatrix([[1, 1], [0, 0]]), SquareMatrix([[0, 2], [3, 0]]))
+        assert list(product._rows[0]) == [1, 0]
+        given_rows = SquareMatrix([[3, 2], [0, 0]])
+        assert list(given_rows._rows[0]) == [0, 1]
+        assert product == given_rows and given_rows == product
+        assert hash(product) == hash(given_rows)
+        assert len({product, given_rows}) == 1

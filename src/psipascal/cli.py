@@ -30,6 +30,11 @@ from .sequences import AdmissibilityError, from_selector
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
 
+# Largest -n of seq and of gen, over Q and over Q(q) (the sequence's field):
+# the largest sizes measured to end within a minute for the slowest built-in
+# sequence of the field (q=2 over Q, q over Q(q)), gen for its fermat kind
+_SIZE_CAPS = {"seq": (700, 120), "gen": (256, 64)}
+
 # argparse reads a value such as "-5/7" or "-q" as an option, so a negative
 # scalar given after --x/--y is attached to its option before parsing
 _SCALAR_OPTIONS = ("--x", "--y")
@@ -88,11 +93,18 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _capped_size(args, seq) -> int:
+    cap = _SIZE_CAPS[args.command][seq.field.symbolic]
+    if args.size > cap:
+        raise InvalidParamsError(f"-n must be <= {cap} over {seq.field.name}, got {args.size}")
+    return args.size
+
+
 def _cmd_seq(args) -> int:
     seq = from_selector(args.sequence)
-    n = args.size
-    if n < 0:
+    if args.size < 0:
         raise InvalidParamsError("-n must be >= 0")
+    n = _capped_size(args, seq)
     integers = [seq.integer(k) for k in range(1, n + 1)]
     factorials = [seq.factorial(k) for k in range(n + 1)]
     binomials = seq.binomial_row(n)
@@ -133,7 +145,7 @@ def _cmd_seq(args) -> int:
 
 def _cmd_gen(args) -> int:
     seq = from_selector(args.sequence)
-    n = args.size
+    n = _capped_size(args, seq)
     if args.kind == "pascal":
         x = seq.field.parse(args.x if args.x is not None else "1")
         matrix = pascal_closed(seq, n, x)

@@ -74,6 +74,10 @@ class IdentitySpec:
 
     ``quick`` holds the quick-profile bounds, which are also the defaults of
     the integer parameters, and ``full`` the full-profile bounds;
+    ``caps`` holds the largest accepted value of each integer parameter as
+    a pair, over Q and over Q(q) (the field of the sequence or operator):
+    the largest size measured to end within a minute for the slowest
+    built-in family of that field, all capped parameters at once;
     ``full_caps`` lowers the full bounds for single families and
     ``extra_runs`` adds (family, selector) suite entries.  ``instances``
     takes the resolved parameters in schema order and yields the instance
@@ -90,6 +94,7 @@ class IdentitySpec:
     expected: Mapping[str, str]
     quick: Mapping[str, int]
     full: Mapping[str, int]
+    caps: Mapping[str, tuple[int, int]]
     instances: Callable[..., Iterable[IdentityReport]]
     single: bool = False
     n_min: int = 1
@@ -137,12 +142,15 @@ def _selector_param(params: dict, key: str):
     raise InvalidParamsError(f"{key!r} must be a selector string, got {value!r}")
 
 
-def _int_param(params: dict, key: str, default: int, minimum: int) -> int:
+def _int_param(params: dict, key: str, default: int, minimum: int, caps: tuple, field) -> int:
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParamsError(f"parameter {key!r} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidParamsError(f"parameter {key!r} must be >= {minimum}, got {value}")
+    cap = caps[field.symbolic]
+    if value > cap:
+        raise InvalidParamsError(f"parameter {key!r} must be <= {cap} over {field.name}, got {value}")
     return value
 
 
@@ -179,7 +187,8 @@ def _resolve(spec: IdentitySpec, params: dict) -> tuple[list, dict]:
                 value = _DEFAULT_SCALARS[key] if value is None else value
                 text = scalar_to_string(value)
         else:
-            value = _int_param(params, key, spec.quick[key], spec.n_min if key == "n" else 0)
+            minimum = spec.n_min if key == "n" else 0
+            value = _int_param(params, key, spec.quick[key], minimum, spec.caps[key], values[0].field)
             text = str(value)
         values.append(value)
         echo[key] = text
@@ -237,6 +246,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"n": 6},
         full={"n": 16},
+        caps={"n": (192, 64)},
         instances=lambda seq, n: (matrices.check_product_identity(seq, n, "eq4"),),
         single=True,
     ),
@@ -248,6 +258,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"n": 6},
         full={"n": 16},
+        caps={"n": (192, 64)},
         instances=lambda seq, n: (matrices.check_product_identity(seq, n, "eq5"),),
         single=True,
     ),
@@ -259,6 +270,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(EXPECTED_FAIL, classical=MUST_PASS),
         quick={"n": 5},
         full={"n": 10},
+        caps={"n": (128, 56)},
         instances=lambda seq, n: (matrices.check_transpose_fermat(seq, n),),
         single=True,
     ),
@@ -270,6 +282,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"i": 4, "j": 4, "m": 4},
         full={"i": 8, "j": 8, "m": 10},
+        caps={"i": (24, 20), "j": (24, 20), "m": (24, 20)},
         instances=lambda op, i_max, j_max, m_max: (
             operators.check_operator_cauchy(op, i, j, m)
             for i in range(i_max + 1)
@@ -287,6 +300,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         {family: MUST_PASS for family in _Q_FAMILIES},
         quick={"n": 6},
         full={"n": 12},
+        caps={"n": (64, 40)},
         instances=lambda seq, bound: (
             matrices.check_cauchy_vandermonde(seq, r, s, j)
             for r in range(bound + 1)
@@ -303,6 +317,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         {family: MUST_PASS for family in _Q_FAMILIES},
         quick={"i": 4, "j": 4},
         full={"i": 6, "j": 6},
+        caps={"i": (64, 32), "j": (64, 32)},
         instances=lambda seq, i_max, j_max: (
             matrices.check_weighted_cauchy(seq, i, j)
             for i in range(i_max + 1)
@@ -317,6 +332,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"n": 6},
         full={"n": 16},
+        caps={"n": (256, 56)},
         instances=lambda seq, n_max, x, y: (
             polynomials.check_sheffer_basic(seq, n, x, y) for n in range(n_max + 1)
         ),
@@ -330,6 +346,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"n": 6},
         full={"n": 12},
+        caps={"n": (192, 56)},
         instances=lambda seq, n, x, y: (matrices.check_semigroup(seq, n, x, y),),
         single=True,
     ),
@@ -341,6 +358,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"n": 8},
         full={"n": 16},
+        caps={"n": (128, 32)},
         instances=lambda seq, n, points: (
             matrices.check_exp_vs_closed(seq, size, x)
             for size in range(1, n + 1)
@@ -359,6 +377,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"n": 8},
         full={"n": 16},
+        caps={"n": (256, 64)},
         instances=lambda seq, n: (
             matrices.check_nilpotency(seq, size) for size in range(1, n + 1)
         ),
@@ -371,6 +390,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(MUST_PASS),
         quick={"n": 4},
         full={"n": 8},
+        caps={"n": (192, 56)},
         instances=lambda seq, k_max, points: (
             polynomials.check_odd_cancellation(seq, a, k_max) for a in points
         ),
@@ -385,6 +405,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         _mostly(EXPECTED_FAIL, classical=MUST_PASS),
         quick={"n": 12},
         full={"n": 24},
+        caps={"n": (1536, 1536)},
         instances=lambda seq, n: (_check_normality(seq, n),),
         single=True,
     ),

@@ -28,12 +28,16 @@ from typing import Optional, Sequence
 from .report import IdentityReport, failing, passing
 from .scalars import (
     RATIONAL_FIELD,
+    RationalFunction,
     Scalar,
     ScalarField,
     field_of,
     infer_field,
     scalar_to_latex,
     scalar_to_string,
+    _pack,
+    _ptrim,
+    _unpack,
 )
 from .sequences import AdmissibleSequence, powers
 
@@ -198,6 +202,13 @@ class SquareMatrix(_Matrix):
         super().__init__(rows, field)
 
 
+# The packed product over Q(q) needs more than this many stored entries per
+# row, on average, in each operand; see matmul.  Timing both paths on
+# P[1] P[1], P[1] P[1]^T, P[q] P[q] and P[q] K over q put the break-even
+# between 4 and 4.5 entries per row, reached by triangles of size 8.
+_PACK_CUTOFF = 4
+
+
 def matmul(a, b):
     """Exact matrix product, formed row by row over nonzero entries only.
 
@@ -205,13 +216,29 @@ def matmul(a, b):
     nonzero b[k][j] (Gustavson's row-wise product), so the cost follows the
     nonzeros rather than n^3.  Triangular times triangular stays triangular;
     every other shape gives a square.
+
+    Over Q(q), when every stored entry of both operands is an integer
+    polynomial and each operand holds more than ``_PACK_CUTOFF`` entries per
+    row on average, the same loop runs on Kronecker-packed ints: each
+    operand entry is packed once, at one slot width that holds every
+    coefficient of every result entry, the products are summed per result
+    entry as plain ints, and each result entry is unpacked once.  Every
+    other product (over Q, of mixed fields, with a proper denominator, or
+    too sparse to repay the packing, such as a chain of powers of the
+    generator) multiplies and adds the entries themselves.
     """
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
     lower = isinstance(a, LowerTriMatrix) and isinstance(b, LowerTriMatrix)
-    b_rows = b._rows
+    product = _packed_product if _packs(a, b) else _entry_product
+    return (LowerTriMatrix if lower else SquareMatrix)._make(
+        product(a._rows, b._rows), a.field.join(b.field)
+    )
+
+
+def _entry_product(a_rows: list, b_rows: list) -> list:
     rows = []
-    for a_row in a._rows:
+    for a_row in a_rows:
         out = {}
         for k, av in a_row.items():
             for j, bv in b_rows[k].items():
@@ -221,7 +248,58 @@ def matmul(a, b):
                 out[j] = av * bv if acc is None else acc + av * bv
         # a sum may cancel to 0
         rows.append({j: v for j, v in out.items() if v})
-    return (LowerTriMatrix if lower else SquareMatrix)._make(rows, a.field.join(b.field))
+    return rows
+
+
+def _packs(a, b) -> bool:
+    """Whether ``matmul`` takes the packed path for these operands."""
+    if not (a._field.symbolic and b._field.symbolic):
+        return False
+    n = len(a._rows)
+    if sum(map(len, a._rows)) <= _PACK_CUTOFF * n or sum(map(len, b._rows)) <= _PACK_CUTOFF * n:
+        return False
+    # an integer polynomial is stored over the denominator (1,)
+    return all(v._den == (1,) for m in (a, b) for row in m._rows for v in row.values())
+
+
+def _packed_product(a_rows: list, b_rows: list) -> list:
+    """The row-wise product of integer polynomial entries, on packed ints.
+
+    A coefficient of a result entry sums at most min(longest a, longest b)
+    products of at most max|a| max|b| each, for each of at most (longest
+    row of a) terms, and the slot width, with its sign bit, holds that bound.
+    """
+    bounds = []
+    for rows in (a_rows, b_rows):
+        top = longest = 0
+        for row in rows:
+            for v in row.values():
+                cs = v._num
+                top = max(top, max(cs), -min(cs))
+                longest = max(longest, len(cs))
+        bounds.append((top, longest))
+    (top_a, long_a), (top_b, long_b) = bounds
+    terms = max(map(len, a_rows))
+    # the operands' own coefficients must fit as well: one may be zero
+    bound = max(top_a, top_b, top_a * top_b * min(long_a, long_b) * terms)
+    width = bound.bit_length() // 8 + 1
+    bits = 8 * width
+    packed_b = [{j: _pack(v._num, width) for j, v in row.items()} for row in b_rows]
+    rows = []
+    for a_row in a_rows:
+        out = {}
+        for k, av in a_row.items():
+            pa = _pack(av._num, width)
+            for j, pb in packed_b[k].items():
+                acc = out.get(j)
+                out[j] = pa * pb if acc is None else acc + pa * pb
+        # a nonzero top slot m-1 gives |v| a bit length from bits (m-1) to
+        # bits m, so the slot count below is m or m + 1; a sum may cancel to 0
+        rows.append({
+            j: RationalFunction._make(_ptrim(_unpack(v, abs(v).bit_length() // bits + 1, width)), (1,))
+            for j, v in out.items() if v
+        })
+    return rows
 
 
 # ---------------------------------------------------------------------------

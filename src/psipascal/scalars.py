@@ -156,9 +156,17 @@ def _pmul_packed(a: tuple, b: tuple) -> tuple:
     width = bound.bit_length() // 8 + 1
     pa = _pack(a, width)
     product = pa * pa if a is b else pa * _pack(b, width)
-    n = len(a) + len(b) - 1
+    return _unpack(product, len(a) + len(b) - 1, width)
+
+
+def _unpack(packed: int, n: int, width: int) -> tuple:
+    """The n coefficients of width-byte slots that ``packed`` holds, as _pack packs them.
+
+    Every coefficient must lie strictly between -2^(8 width - 1) and
+    2^(8 width - 1).
+    """
     half = 1 << (8 * width - 1)
-    raw = (product + _offset(n, width)).to_bytes(n * width, "little")
+    raw = (packed + _offset(n, width)).to_bytes(n * width, "little")
     return tuple(
         [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)]
     )

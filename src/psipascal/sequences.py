@@ -3,9 +3,14 @@
 An admissible sequence assigns to every n >= 1 a nonzero scalar, its
 generalized integer.  Factorials, binomials and falling factorials are
 derived from those integers exactly as in the classical case, with the
-empty product equal to one.  One method, ``binomial_sum``, forms the
-binomial convolution sum_k binomial(n, k) a_k b_(n-k) behind the product
-law, and one helper, ``powers``, every list of powers.  Built-in sequences:
+empty product equal to one.  The binomials are not factorial quotients:
+each comes from its neighbour on the diagonal by the ratio rule
+binomial(n, k) = binomial(n-1, k-1) * n_psi / k_psi, one product and one
+exact division by the small k_psi, so no factorial is ever divided and
+the factorial memo is a route of its own.  One method, ``binomial_sum``,
+forms the binomial convolution sum_k binomial(n, k) a_k b_(n-k) behind
+the product law, and one helper, ``powers``, every list of powers.
+Built-in sequences:
 
 * ``classical``   n            (ordinary integers, over the rationals)
 * ``q``           1+q+...+q^(n-1)   (symbolic q-analog integers)
@@ -87,6 +92,8 @@ class AdmissibleSequence:
         self._ints: dict[int, Scalar] = {}
         self._facts: dict[int, Scalar] = {0: field.one}
         self._binoms: dict[tuple[int, int], Scalar] = {}
+        # the integers 1 .. _checked are known to be nonzero
+        self._checked = 0
 
     def integer(self, n: int) -> Scalar:
         """The generalized integer n_psi, defined and nonzero for n >= 1."""
@@ -117,14 +124,33 @@ class AdmissibleSequence:
         return value
 
     def binomial(self, n: int, k: int) -> Scalar:
-        """Generalized binomial; zero outside 0 <= k <= n, symmetric in k and n-k."""
+        """Generalized binomial; zero outside 0 <= k <= n, symmetric in k and n-k.
+
+        Built by the ratio rule binomial(r+s, s) = binomial(r+s-1, s-1) *
+        (r+s)_psi / s_psi: the walk goes down the diagonal of fixed r to the
+        nearest cached entry (or to binomial(r, 0) = 1), then back up,
+        caching each step.  The integers 1 .. n are first checked in
+        ascending order, so a vanishing one is reported at the smallest n,
+        as the factorials report it.
+        """
         if k < 0 or k > n:
             return self.field.zero
-        key = (n, min(k, n - k))
-        value = self._binoms.get(key)
-        if value is None:
-            value = self.factorial(n) / (self.factorial(key[1]) * self.factorial(n - key[1]))
-            self._binoms[key] = value
+        s = min(k, n - k)
+        value = self._binoms.get((n, s))
+        if value is not None:
+            return value
+        # every cached entry has its integers checked: the walk caches
+        # entries of rows up to n only
+        for m in range(self._checked + 1, n + 1):
+            self.integer(m)
+            self._checked = m
+        r, binoms, ints, t = n - s, self._binoms, self._ints, s
+        while t and (r + t, t) not in binoms:
+            t -= 1
+        value = binoms[(r + t, t)] if t else self.field.one
+        for t in range(t + 1, s + 1):
+            value = value * ints[r + t] / ints[t]
+            binoms[(r + t, t)] = value
         return value
 
     def binomial_row(self, n: int) -> tuple[Scalar, ...]:

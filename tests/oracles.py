@@ -78,6 +78,44 @@ def gaussian_binomial(n: int, k: int):
     return row[k]
 
 
+def fibonomial_rule(n: int, k: int) -> int:
+    """Fibonomial coefficient by the division-free rule, row by row:
+
+    C(n, k) = F_(k+1) C(n-1, k) + F_(n-k-1) C(n-1, k-1) for 0 < k < n.
+    """
+    if k < 0 or k > n:
+        return 0
+    row = [1]
+    for r in range(1, n + 1):
+        row = [1] + [fib(c + 1) * row[c] + fib(r - c - 1) * row[c - 1] for c in range(1, r)] + [1]
+    return row[k]
+
+
+def poly_divexact(a, b):
+    """a / b by long division; fails unless b divides a exactly."""
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = rem[i + len(b) - 1] / b[-1]
+        for t, c in enumerate(b):
+            rem[i + t] -= quo[i] * c
+    assert not any(rem), "inexact polynomial division"
+    return quo
+
+
+def q_factorial(n: int):
+    """[n]_q! as a coefficient list: the product of 1 + q + ... + q^(m-1), m = 1 .. n."""
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        out = poly_mul(out, [1] * m)
+    return out
+
+
+def gaussian_quotient(n: int, k: int):
+    """Gaussian binomial as a coefficient list, straight from the factorial ratio."""
+    return poly_divexact(q_factorial(n), poly_mul(q_factorial(k), q_factorial(n - k)))
+
+
 def q_integer(n: int, q0: Fraction) -> Fraction:
     return sum((Fraction(q0) ** t for t in range(n)), Fraction(0))
 
@@ -106,10 +144,14 @@ __all__ = [
     "fib",
     "fib_factorial",
     "fibonomial",
+    "fibonomial_rule",
     "poly_add",
+    "poly_divexact",
     "poly_mul",
     "poly_eval",
     "gaussian_binomial",
+    "gaussian_quotient",
+    "q_factorial",
     "q_integer",
     "mat_mul",
 ]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from psipascal import engine
 from psipascal import (
     EXPECTED_FAIL,
     MUST_PASS,
@@ -43,6 +44,28 @@ class TestRegistry:
 
     def test_ordering_is_stable(self):
         assert [s.id for s in list_identities()] == [s.id for s in list_identities()]
+
+    def test_every_integer_parameter_is_capped_above_its_bounds(self):
+        for spec in list_identities():
+            keys = [k for k in spec.param_keys if k in spec.quick]
+            assert set(spec.caps) == set(keys) == set(spec.full)
+            for key in keys:
+                over_q, over_q_of_q = spec.caps[key]
+                assert spec.quick[key] <= spec.full[key] <= min(over_q, over_q_of_q)
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["over Q", "over Q(q)"])
+    def test_a_cap_is_accepted_and_one_more_refused(self, field):
+        # resolving a check's parameters runs nothing, so the cap itself is cheap here
+        selectors = {"eq8": ("qhat-paper:classical", "qhat-power:q"), "eq9": ("q=2", "q"), "eq10": ("q=2", "q")}
+        for spec in list_identities():
+            selector = selectors.get(spec.id, ("classical", "q"))[field]
+            for name, caps in spec.caps.items():
+                params = {spec.param_keys[0]: selector, name: caps[field]}
+                _, echo = engine._resolve(spec, params)
+                assert echo[name] == str(caps[field])
+                params[name] += 1
+                with pytest.raises(InvalidParamsError, match=f"must be <= {caps[field]} over"):
+                    engine._resolve(spec, params)
 
     def test_expectations(self):
         by_id = {spec.id: spec for spec in list_identities()}

@@ -11,6 +11,7 @@ counterexample or in a parameter error fails here.
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -221,6 +222,73 @@ ERRORS = [
     ),
 ]
 
+# q = -1 is a root of unity: whichever route first reads an integer
+# (factorials, the ratio rule of the binomials, K, an operator's
+# eigenvalues), the smallest vanishing one is reported
+_Q_MINUS_ONE = "sequence 'q=-1' is not admissible: integer at n = 2 is zero"
+ERRORS += [
+    (["check", identity, "-s", "q=-1"], _Q_MINUS_ONE)
+    for identity in (
+        "eq4", "eq5", "eq6", "eq9", "eq10", "eq11-basic", "semigroup",
+        "exp-vs-closed", "nilpotent", "odd-cancel", "normality",
+    )
+] + [
+    (["check", "eq8", "-s", "qhat-paper:q=-1"], _Q_MINUS_ONE),
+    (["seq", "-s", "q=-1", "-n", "4"], _Q_MINUS_ONE),
+    (["gen", "fermat", "-s", "q=-1", "-n", "4"], _Q_MINUS_ONE),
+]
+
+# one past each documented size cap, over Q and over Q(q): exit 2 with this
+# message, before any work; (command, option, cap, field of the selector)
+CAPS = [
+    *[
+        (["check", identity, "-s", selector], "-n", cap, field)
+        for identity, q_cap, q_of_q_cap in (
+            ("eq4", 192, 64),
+            ("eq5", 192, 64),
+            ("eq6", 128, 56),
+            ("eq11-basic", 256, 56),
+            ("semigroup", 192, 56),
+            ("exp-vs-closed", 128, 32),
+            ("nilpotent", 256, 64),
+            ("odd-cancel", 192, 56),
+            ("normality", 1536, 1536),
+        )
+        for selector, cap, field in (
+            ("classical", q_cap, "rational"),
+            ("q", q_of_q_cap, "rational-function"),
+        )
+    ],
+    (["check", "eq9", "-s", "q=2"], "-n", 64, "rational"),
+    (["check", "eq9", "-s", "q"], "-n", 40, "rational-function"),
+    *[
+        (["check", "eq10", "-s", selector], option, cap, field)
+        for option in ("--i", "--j")
+        for selector, cap, field in (("q=2", 64, "rational"), ("q", 32, "rational-function"))
+    ],
+    *[
+        (["check", "eq8", "-s", selector], option, cap, field)
+        for option in ("--i", "--j", "-m")
+        for selector, cap, field in (
+            ("qhat-paper:fibonomial", 24, "rational"),
+            ("qhat-power:q", 20, "rational-function"),
+        )
+    ],
+    *[
+        (command + ["-s", selector], "-n", cap, field)
+        for command, q_cap, q_of_q_cap in (
+            (["seq"], 700, 120),
+            (["gen", "K"], 256, 64),
+            (["gen", "pascal"], 256, 64),
+            (["gen", "fermat"], 256, 64),
+        )
+        for selector, cap, field in (
+            ("fibonomial", q_cap, "rational"),
+            ("q", q_of_q_cap, "rational-function"),
+        )
+    ],
+]
+
 
 def _test_id(argv):
     return " ".join(arg if len(arg) <= 40 else f"<{len(arg)} characters>" for arg in argv)
@@ -242,3 +310,26 @@ def test_parameter_error_matches_pinned_message(argv, message):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"psipascal: error: {message}\n"
+
+
+def _cap_message(argv, option, cap, field):
+    if argv[0] == "check":
+        return f"parameter {option.lstrip('-')!r} must be <= {cap} over {field}, got {cap + 1}"
+    return f"-n must be <= {cap} over {field}, got {cap + 1}"
+
+
+@pytest.mark.parametrize(
+    "argv, option, cap, field", CAPS, ids=[" ".join(c[0] + [c[1], str(c[2] + 1)]) for c in CAPS]
+)
+def test_one_past_each_cap_exits_2_within_a_second(argv, option, cap, field):
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "psipascal", *argv, option, str(cap + 1)],
+        capture_output=True,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"psipascal: error: {_cap_message(argv, option, cap, field)}\n"
+    assert elapsed < 1.0

@@ -12,21 +12,35 @@ across both shapes and fields, whatever order a row's dict holds them in.
 Q(q) entries are polynomials of degree at most 2, so every entry of a
 product or sum has degree at most 4 and is fixed by its values at the five
 or more points in ``POINTS``: comparing the evaluated result with the
-oracle on the evaluated operands at each of them is an exact check.
+oracle on the evaluated operands at each of them is an exact check.  A
+Q(q) matrix holds either rational or integer coefficients; products of two
+integer ones can take the packed path of ``matmul``, and ``TestBothPaths``
+forces each path on the same inputs.
 """
 
+import contextlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import psipascal.matrices as matrix_layer
 from psipascal import LowerTriMatrix, SquareMatrix, matmul
+from psipascal.matrices import (
+    check_exp_vs_closed,
+    check_nilpotency,
+    check_product_identity,
+    check_semigroup,
+    pascal_closed,
+)
 from psipascal.scalars import (
     RATIONAL_FIELD,
     RATIONAL_FUNCTION_FIELD,
     RationalFunction,
     field_of,
 )
+from psipascal.sequences import classical, q_symbolic
 
 from oracles import mat_mul
 
@@ -35,6 +49,10 @@ PATTERNS = ("random", "strictly-lower", "identity", "zero")
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 polys = st.lists(rationals, min_size=1, max_size=3).map(RationalFunction.from_coefficients)
+# integers of up to 70 bits: slots of one byte up to ten
+int_polys = st.lists(
+    st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=3
+).map(RationalFunction.from_coefficients)
 fields = st.sampled_from((RATIONAL_FIELD, RATIONAL_FUNCTION_FIELD))
 
 
@@ -43,7 +61,7 @@ def matrices(draw, lower, n, field=None):
     """A matrix of the given shape and size over a drawn field and zero pattern."""
     field = field or draw(fields)
     pattern = draw(st.sampled_from(PATTERNS))
-    values = rationals if field is RATIONAL_FIELD else polys
+    values = rationals if field is RATIONAL_FIELD else draw(st.sampled_from((polys, int_polys)))
     rows = []
     for i in range(n):
         row = []
@@ -234,3 +252,138 @@ class TestEqualityAndHash:
         assert product == given_rows and given_rows == product
         assert hash(product) == hash(given_rows)
         assert len({product, given_rows}) == 1
+
+
+@contextlib.contextmanager
+def forced(route):
+    """Send every product down one path of matmul.
+
+    "packed" drops the density cutoff, so every product of two Q(q)
+    operands whose entries are all integer polynomials is packed; "loop"
+    raises it past any size, so none is.
+    """
+    saved = matrix_layer._PACK_CUTOFF
+    matrix_layer._PACK_CUTOFF = -1 if route == "packed" else 10**9
+    try:
+        yield
+    finally:
+        matrix_layer._PACK_CUTOFF = saved
+
+
+@contextlib.contextmanager
+def routes_taken():
+    """The list of paths ("packed" or "loop") the products in the block took."""
+    taken, saved = [], (matrix_layer._packed_product, matrix_layer._entry_product)
+
+    def spy(route, product):
+        def run(a_rows, b_rows):
+            taken.append(route)
+            return product(a_rows, b_rows)
+        return run
+
+    matrix_layer._packed_product = spy("packed", saved[0])
+    matrix_layer._entry_product = spy("loop", saved[1])
+    try:
+        yield taken
+    finally:
+        matrix_layer._packed_product, matrix_layer._entry_product = saved
+
+
+def integer_polynomials(m) -> bool:
+    return m.field is RATIONAL_FUNCTION_FIELD and all(
+        v.denominator == (1,) and all(type(c) is int for c in v.numerator)
+        for row in m._rows for v in row.values()
+    )
+
+
+def stored_order(m):
+    return [list(row) for row in m._rows]
+
+
+class TestBothPaths:
+    @pytest.mark.parametrize("route", ["loop", "packed"])
+    @given(operand_pairs())
+    @settings(deadline=None, max_examples=150)
+    def test_each_path_equals_dense_oracle(self, route, pair):
+        a, b = pair
+        lower = isinstance(a, LowerTriMatrix) and isinstance(b, LowerTriMatrix)
+        with forced(route), routes_taken() as taken:
+            product = matmul(a, b)
+            chained = matmul(product, b)
+        packs = route == "packed" and integer_polynomials(a) and integer_polynomials(b)
+        assert taken[0] == ("packed" if packs else "loop")
+        for result in (product, chained):
+            assert_well_formed(result, lower, a.field.join(b.field))
+        for point in POINTS:
+            ab = mat_mul(at(a, point), at(b, point))
+            assert at(product, point) == ab
+            assert at(chained, point) == mat_mul(ab, at(b, point))
+
+    @given(operand_pairs())
+    @settings(deadline=None, max_examples=150)
+    def test_paths_agree_entry_for_entry(self, pair):
+        a, b = pair
+        with forced("loop"):
+            looped = matmul(a, b)
+        with forced("packed"):
+            packed = matmul(a, b)
+        assert type(packed) is type(looped) and packed.field is looped.field
+        assert packed == looped
+        # the same entries in the same order: each path fills a row the same way
+        assert stored_order(packed) == stored_order(looped)
+
+    @pytest.mark.parametrize(
+        "top, length, n",
+        [
+            (1, 1, 1), (1, 5, 3), (4, 2, 2), (4, 8, 1), (11, 1, 1), (3, 4, 5), (7, 2, 3), (127, 3, 5),
+            (181, 10, 8), (255, 13, 9), (2**31 - 1, 10, 8), (2**64 + 3, 13, 9),
+        ],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficients_at_the_width_bound(self, top, length, n, sign):
+        # every coefficient of every entry is +-top, so the middle coefficient
+        # of each result entry is exactly the bound top^2 * length * n the
+        # slot width is computed from: a byte less (or no sign bit) overflows
+        entry = RationalFunction.from_coefficients((top,) * length)
+        a = SquareMatrix([[entry] * n for _ in range(n)])
+        b = SquareMatrix([[entry * sign] * n for _ in range(n)])
+        expected = entry * entry * (sign * n)
+        assert max(map(abs, expected.numerator)) == top * top * length * n
+        with forced("packed"), routes_taken() as taken:
+            product = matmul(a, b)
+        assert taken == ["packed"]
+        assert all(v == expected for row in product.rows for v in row)
+        with forced("loop"):
+            assert matmul(a, b) == product
+
+    def test_large_polynomial_products_pack_by_default(self):
+        seq = q_symbolic()
+        with routes_taken() as taken:
+            assert check_product_identity(seq, 16, "eq4").passed
+            assert check_product_identity(seq, 16, "eq5").passed
+        assert taken == ["packed", "packed"]
+
+    def test_constant_denominators_take_the_loop(self):
+        # P[3/5] over q: every entry is a polynomial over a power of 5
+        with forced("packed"), routes_taken() as taken:
+            report = check_semigroup(q_symbolic(), 12, Fraction(3, 5), Fraction(-7, 11))
+        assert report.passed and taken == ["loop"]
+
+    def test_mixed_and_rational_operands_take_the_loop(self):
+        rational = pascal_closed(classical(), 12, Fraction(1))
+        symbolic = pascal_closed(q_symbolic(), 12, RationalFunction.generator())
+        with forced("packed"), routes_taken() as taken:
+            for a, b in ((rational, symbolic), (symbolic, rational), (rational, rational)):
+                product = matmul(a, b)
+                for point in POINTS[:2]:
+                    assert at(product, point) == mat_mul(at(a, point), at(b, point))
+        assert taken == ["loop"] * 3
+
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_chains_of_the_generator_take_the_loop(self, n):
+        # one stored entry per row: packing cannot repay itself
+        seq = q_symbolic()
+        with routes_taken() as taken:
+            assert check_nilpotency(seq, n).passed
+            assert check_exp_vs_closed(seq, n, RationalFunction.generator()).passed
+        assert taken and set(taken) == {"loop"}

@@ -1,5 +1,6 @@
 """Admissible sequences: integers, factorials, binomials, normality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,16 @@ from psipascal import (
     run_identity,
 )
 
-from oracles import fib, fibonomial as fibonomial_oracle, gaussian_binomial, poly_mul, q_integer
+from oracles import (
+    fib,
+    fibonomial as fibonomial_oracle,
+    fibonomial_rule,
+    gaussian_binomial,
+    gaussian_quotient,
+    poly_eval,
+    poly_mul,
+    q_integer,
+)
 
 RF = RationalFunction
 
@@ -138,6 +148,56 @@ class TestBinomials:
         for n in range(17):
             for k in range(n + 1):
                 assert seq.binomial(n, k).denominator == (1,)
+
+
+def query_order(order, bound):
+    """Every (n, k) with n <= bound, in the given order of asking."""
+    pairs = [(n, k) for n in range(bound + 1) for k in range(n + 1)]
+    if order == "descending":
+        pairs.reverse()
+    elif order == "shuffled":
+        random.Random(13).shuffle(pairs)
+    return pairs
+
+
+ORDERS = ("ascending", "descending", "shuffled")
+
+
+class TestBinomialRoutes:
+    """The ratio-rule memo against a factorial quotient and a division-free rule.
+
+    The memo walks a diagonal down to whichever entry is cached, so each
+    route is compared in three orders of asking, each on a fresh sequence.
+    """
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_gaussian(self, order):
+        seq = q_symbolic()
+        for n, k in query_order(order, 13):
+            value = seq.binomial(n, k)
+            assert value.denominator == (1,)
+            assert list(value.numerator) == gaussian_quotient(n, k) == gaussian_binomial(n, k)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_fibonomial(self, order):
+        seq = fibonomial()
+        for n, k in query_order(order, 13):
+            assert seq.binomial(n, k) == fibonomial_oracle(n, k) == fibonomial_rule(n, k)
+
+    @pytest.mark.parametrize("r", [Fraction(2), Fraction(-1, 3)])
+    def test_numeric_q_is_the_gaussian_at_r(self, r):
+        seq = q_numeric(r)
+        for n, k in query_order("shuffled", 13):
+            assert seq.binomial(n, k) == poly_eval(gaussian_binomial(n, k), r)
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (4, 4), (4, 0), (7, 3), (9, 1)])
+    def test_a_vanishing_integer_is_reported_at_the_smallest_n(self, n, k):
+        # the ratio rule reads binomial(4, 2) from the integers 3, 4, 1, 2;
+        # they are checked in ascending order first, as factorial(4) checks them
+        with pytest.raises(AdmissibilityError, match="integer at n = 2 is zero"):
+            q_numeric(-1).binomial(n, k)
+        with pytest.raises(AdmissibilityError, match="only up to n = 2"):
+            custom([1, 2]).binomial(n + 2, k)
 
 
 def plain_binomial_sum(binomial, n, a, b):

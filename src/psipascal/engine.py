@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from . import matrices, operators, polynomials
 from .report import Counterexample, IdentityReport
-from .scalars import RationalFunction, scalar_to_string
+from .scalars import MAX_Q_EXPONENT, RationalFunction, scalar_to_string
 from .sequences import AdmissibleSequence, from_selector
 
 __all__ = [
@@ -85,6 +85,8 @@ class IdentitySpec:
     identity is one check, so its counterexample needs no instance detail.
     ``n_min`` is the least accepted n.  ``points`` is (echo name, default
     list) when x is a list of points rather than one scalar.
+    ``point_power`` maps n to the largest power the identity takes of a
+    point x or y; see ``check_point_degree``.
     """
 
     id: str
@@ -99,6 +101,7 @@ class IdentitySpec:
     single: bool = False
     n_min: int = 1
     points: tuple = ()
+    point_power: Optional[Callable[[int], int]] = None
     full_caps: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
     extra_runs: tuple[tuple[str, str], ...] = ()
 
@@ -154,6 +157,25 @@ def _int_param(params: dict, key: str, default: int, minimum: int, caps: tuple, 
     return value
 
 
+# Budget for a Q(q) point at size n: its degree times the largest power
+# the identity takes of it must be at most MAX_Q_EXPONENT // n.  The size
+# caps bound n, not the degree of a point, and the work grows with both:
+# P[x] at size n holds about n^2/2 entries up to x^(n-1), and each product
+# of entries is a polynomial product.  At n = 1 the largest power may be as
+# long as the longest monomial q^k the parser accepts.
+def check_point_degree(name: str, value, n: int, power: int) -> None:
+    """Refuse a point whose largest power at size n is over the degree budget."""
+    if not isinstance(value, RationalFunction):
+        return
+    degree = max(len(value.numerator), len(value.denominator)) - 1
+    budget = MAX_Q_EXPONENT // max(n, 1)
+    if degree * power > budget:
+        raise InvalidParamsError(
+            f"parameter {name!r}: degree {degree} in q, raised to the power {power}, "
+            f"is above degree {budget} at n = {n}"
+        )
+
+
 def _scalar_param(params: dict, key: str, seq: AdmissibleSequence):
     value = params.get(key)
     if value is None or isinstance(value, (int, Fraction, RationalFunction)):
@@ -178,6 +200,8 @@ def _resolve(spec: IdentitySpec, params: dict) -> tuple[list, dict]:
                 raise InvalidParamsError(f"{spec.id} needs a q-analog sequence, got {text!r}")
         elif key in _DEFAULT_SCALARS:
             value = _scalar_param(params, key, values[0])
+            # n comes second in every schema with points
+            check_point_degree(key, value, values[1], spec.point_power(values[1]))
             if spec.points:
                 # a list of points, echoed under the row's own name
                 key, default = spec.points
@@ -337,6 +361,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
             polynomials.check_sheffer_basic(seq, n, x, y) for n in range(n_max + 1)
         ),
         n_min=0,
+        point_power=lambda n: n,
     ),
     IdentitySpec(
         "semigroup",
@@ -349,6 +374,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         caps={"n": (192, 56)},
         instances=lambda seq, n, x, y: (matrices.check_semigroup(seq, n, x, y),),
         single=True,
+        point_power=lambda n: n - 1,
     ),
     IdentitySpec(
         "exp-vs-closed",
@@ -366,6 +392,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ),
         # the generator of Q(q) is a fully generic point for every sequence
         points=("x", (RationalFunction.generator(),) + _DEFAULT_POINTS),
+        point_power=lambda n: n - 1,
         # the symbolic exponential sweep is the one check whose full size is capped lower
         full_caps={"q-symbolic": {"n": 10}},
     ),
@@ -396,6 +423,7 @@ _REGISTRY: tuple[IdentitySpec, ...] = (
         ),
         n_min=0,
         points=("a", _DEFAULT_POINTS),
+        point_power=lambda n: 2 * n + 1,
     ),
     IdentitySpec(
         "normality",

@@ -78,7 +78,14 @@ class PoleError(ZeroDivisionError):
 # the monic form the public accessors derive.  Products of operands with
 # enough dense terms are one big-int product (Kronecker substitution), and
 # canonicalisation splits both sides into an integer content times a
-# primitive polynomial, then divides out their gcd over Z.
+# primitive polynomial, then divides out their gcd over Z.  Arithmetic skips
+# that general canonicalisation where integer gcds give the canonical pair
+# (constant denominators, a constant factor) or one exact division does (a
+# polynomial times c/D); see "arithmetic on canonical pairs".  Exact
+# division of a dense divisor and quotient is one big-int divmod of the
+# packed operands, its quotient proved by multiplying it back; every other
+# division, and every packed one that cannot decide, is integer trial
+# division.
 # ---------------------------------------------------------------------------
 
 # Fewest terms each operand needs for the packed product.  Replaying every
@@ -208,6 +215,10 @@ def _pexquo(a: tuple, b: tuple):
     db = len(b) - 1
     if len(a) <= db or (b[0] and a[0] % b[0]):
         return None
+    if len(a) - db >= _PACK_CUTOFF and _dense(b):
+        quo = _pexquo_packed(a, b)
+        if quo is not _UNDECIDED:
+            return quo
     lead = b[-1]
     terms = [(t, b[t]) for t in compress(range(db), b)]
     rem = list(a)
@@ -227,6 +238,30 @@ def _pexquo(a: tuple, b: tuple):
     if any(rem[:db]):
         return None
     return tuple(quo)
+
+
+# what _pexquo_packed returns when the packed images cannot decide
+_UNDECIDED = object()
+
+
+def _pexquo_packed(a: tuple, b: tuple):
+    """a / b by one big-int divmod of the Kronecker images; _UNDECIDED if it cannot tell.
+
+    b(X) is nonzero, so a nonzero remainder proves that b does not divide a.
+    A zero remainder only gives a candidate: its slots may overflow, or the
+    images may divide although the polynomials do not, so the candidate is
+    accepted only if multiplying it back gives a.
+    """
+    top = max(max(a), -min(a), max(b), -min(b))
+    width = top.bit_length() // 8 + 1
+    quo, rem = divmod(_pack(a, width), _pack(b, width))
+    if rem:
+        return None
+    try:
+        cand = _unpack(quo, len(a) - len(b) + 1, width)
+    except OverflowError:
+        return _UNDECIDED
+    return cand if _pmul(cand, b) == a else _UNDECIDED
 
 
 def _pprem(a: tuple, b: tuple) -> tuple:
@@ -440,10 +475,7 @@ class RationalFunction:
             return NotImplemented
         if self._den == (1,) and o._den == (1,):
             return RationalFunction._make(_padd(self._num, o._num), (1,))
-        return RationalFunction(
-            _padd(_pmul(self._num, o._den), _pmul(o._num, self._den)),
-            _pmul(self._den, o._den),
-        )
+        return _sum(self._num, self._den, o._num, o._den)
 
     __radd__ = __add__
 
@@ -465,7 +497,7 @@ class RationalFunction:
             return NotImplemented
         if self._den == (1,) and o._den == (1,):
             return RationalFunction._make(_pmul(self._num, o._num), (1,))
-        return RationalFunction(_pmul(self._num, o._num), _pmul(self._den, o._den))
+        return _product(self._num, self._den, o._num, o._den)
 
     __rmul__ = __mul__
 
@@ -475,7 +507,7 @@ class RationalFunction:
             return NotImplemented
         if not o._num:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(_pmul(self._num, o._den), _pmul(self._den, o._num))
+        return _product(self._num, self._den, *_inverse(o._num, o._den))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -490,7 +522,8 @@ class RationalFunction:
             return RationalFunction._make(_ppow(self._num, exponent), _ppow(self._den, exponent))
         if not self._num:
             raise ZeroDivisionError("zero has no negative powers")
-        return RationalFunction(_ppow(self._den, -exponent), _ppow(self._num, -exponent))
+        num, den = _inverse(self._num, self._den)
+        return RationalFunction._make(_ppow(num, -exponent), _ppow(den, -exponent))
 
     def __neg__(self):
         return RationalFunction._make(_pneg(self._num), self._den)
@@ -520,6 +553,92 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({str(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on canonical pairs
+#
+# The operators pass canonical pairs (num, den) to these functions, which
+# build the canonical pair of the result.  Only where that needs a gcd of two
+# non-constant polynomials do they go through the general constructor; the
+# gcds they use instead are integer gcds, or a divisor found by exact
+# division (von zur Gathen & Gerhard, Modern Computer Algebra, 6.2).
+# ---------------------------------------------------------------------------
+
+
+def _inverse(num: tuple, den: tuple) -> tuple:
+    """The canonical pair of den/num, for canonical num/den with num nonzero."""
+    return (_pneg(den), _pneg(num)) if num[-1] < 0 else (den, num)
+
+
+def _pdivi(a: tuple, g: int) -> tuple:
+    """a / g for an integer g that divides every coefficient."""
+    return a if g == 1 else tuple([c // g for c in a])
+
+
+def _ptimes(a: tuple, b: tuple) -> tuple:
+    """_pmul, with a constant factor applied as a scaling."""
+    if len(a) == 1:
+        return _pscale(b, a[0])
+    if len(b) == 1:
+        return _pscale(a, b[0])
+    return _pmul(a, b)
+
+
+def _cancel(n: tuple, d: tuple):
+    """(n / g, d / g) for g = gcd(n, d) over Z[q] with a positive lead, or None.
+
+    When n or d is a constant, g is an integer gcd.  Otherwise g is found
+    only if the primitive part p of d divides n: d = c p for the content c,
+    and g = p gcd(c, n / p).  None means that a polynomial gcd is needed.
+    """
+    if len(d) == 1:
+        g = gcd(d[0], *n)
+        return _pdivi(n, g), (d[0] // g,)
+    if len(n) == 1:
+        g = gcd(n[0], *d)
+        return (n[0] // g,), _pdivi(d, g)
+    c = gcd(*d)
+    quo = _pexquo(n, _pdivi(d, c))
+    if quo is None:
+        return None
+    g = gcd(c, *quo)
+    return _pdivi(quo, g), (c // g,)
+
+
+def _product(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:
+    """an/ad * bn/bd for canonical pairs, as Fraction multiplies.
+
+    Each numerator is divided by its gcd with the other denominator.  The
+    two quotients are then coprime across, so their products form the
+    canonical pair and need no further reduction.
+    """
+    if not an or not bn:
+        return RationalFunction._make((), (1,))
+    # one of the two cancellations must have an integer gcd; the other may
+    # try an exact division
+    if len(an) > 1 and len(bd) > 1:
+        an, ad, bn, bd = bn, bd, an, ad
+    second = None if len(an) > 1 and len(bd) > 1 else _cancel(bn, ad)
+    if second is None:
+        return RationalFunction(_pmul(an, bn), _pmul(ad, bd))
+    (n1, d1), (n2, d2) = _cancel(an, bd), second
+    return RationalFunction._make(_ptimes(n1, n2), _ptimes(d2, d1))
+
+
+def _sum(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:
+    """an/ad + bn/bd for canonical pairs; integer denominators add as Fraction adds."""
+    if len(ad) > 1 or len(bd) > 1:
+        return RationalFunction(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+    da, db = ad[0], bd[0]
+    # by Gauss's lemma only an integer can divide both sides, and with
+    # g = gcd(da, db) it divides g (so nothing cancels when g = 1)
+    g = gcd(da, db)
+    s = _padd(_pscale(an, db // g), _pscale(bn, da // g))
+    if not s:
+        return RationalFunction._make((), (1,))
+    g2 = gcd(g, *s)
+    return RationalFunction._make(_pdivi(s, g2), ((da // g) * db // g2,))
 
 
 q = RationalFunction.generator()

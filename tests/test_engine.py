@@ -5,6 +5,7 @@ import json
 import pytest
 
 from psipascal import engine
+from psipascal.scalars import MAX_Q_EXPONENT
 from psipascal import (
     EXPECTED_FAIL,
     MUST_PASS,
@@ -267,3 +268,44 @@ class TestMutation:
         seq = custom([1, 1, 2, 3, 5, 8, 13, 21])
         report = run_identity("exp-vs-closed", {"sequence": seq, "n": 6, "x": "1"})
         assert report.passed
+
+
+class TestPointDegreeBudget:
+    """A Q(q) point is refused when its largest power is above degree MAX_Q_EXPONENT // n."""
+
+    # (identity, n, the largest power the identity takes of a point at n)
+    POWERS = [
+        ("eq11-basic", 4, 4),
+        ("semigroup", 5, 4),
+        ("exp-vs-closed", 3, 2),
+        ("odd-cancel", 2, 5),
+    ]
+
+    def test_every_identity_with_points_has_a_power(self):
+        for spec in list_identities():
+            takes_points = "x" in spec.param_keys
+            assert (spec.point_power is not None) == takes_points, spec.id
+
+    @pytest.mark.parametrize("identity, n, power", POWERS)
+    def test_the_budget_boundary(self, identity, n, power):
+        spec = engine._BY_ID[identity]
+        assert spec.point_power(n) == power
+        top = MAX_Q_EXPONENT // max(n, 1) // power
+        for key in ("x", "y") if "y" in spec.param_keys else ("x",):
+            accepted = {"sequence": "q", "n": n, key: f"(1 + q)/(2 + q^{top})"}
+            engine._resolve(spec, accepted)
+            refused = {"sequence": "q", "n": n, key: f"(1 + q)/(2 + q^{top + 1})"}
+            with pytest.raises(InvalidParamsError, match=f"parameter '{key}': degree {top + 1} in q"):
+                run_identity(identity, refused)
+
+    def test_at_n_0_every_parsed_point_passes(self):
+        # the budget is MAX_Q_EXPONENT and the largest power is the point itself
+        spec = engine._BY_ID["odd-cancel"]
+        assert spec.point_power(0) == 1
+        engine._resolve(spec, {"sequence": "q", "n": 0, "x": f"(1 + q)/(2 + q^{MAX_Q_EXPONENT})"})
+
+    def test_rational_points_and_constants_have_no_degree(self):
+        report = run_identity("semigroup", {"sequence": "q", "n": 4, "x": "1111/7", "y": "-3"})
+        assert report.passed
+        spec = engine._BY_ID["odd-cancel"]
+        engine._resolve(spec, {"sequence": "classical", "n": 192, "x": "5/3"})

@@ -220,6 +220,24 @@ ERRORS = [
         ["check", "semigroup", "-s", "q", "-n", "2", "--x", "q^" + "1" * 5000],
         "parameter 'x': more than 4300 digits in one number (offset 2)",
     ),
+    # a Q(q) point whose largest power at size n is above degree
+    # MAX_Q_EXPONENT // n is refused before any work
+    (
+        ["check", "semigroup", "-s", "classical", "-n", "8", "--x", "q^100000"],
+        "parameter 'x': degree 100000 in q, raised to the power 7, is above degree 12500 at n = 8",
+    ),
+    (
+        ["check", "eq11-basic", "-s", "q", "-n", "4", "--y", "(1)/(1 + q^6251)"],
+        "parameter 'y': degree 6251 in q, raised to the power 4, is above degree 25000 at n = 4",
+    ),
+    (
+        ["check", "odd-cancel", "-s", "fibonomial", "-n", "3", "--x", "2 - q^4762"],
+        "parameter 'x': degree 4762 in q, raised to the power 7, is above degree 33333 at n = 3",
+    ),
+    (
+        ["check", "exp-vs-closed", "-s", "q", "-n", "2", "--x", "q^50001"],
+        "parameter 'x': degree 50001 in q, raised to the power 1, is above degree 50000 at n = 2",
+    ),
 ]
 
 # q = -1 is a root of unity: whichever route first reads an integer

@@ -2,11 +2,14 @@
 
 The packed (Kronecker) product is checked against the schoolbook oracle in
 ``oracles.py``, the fraction-free canonicalisation against ``sympy.cancel``.
+The arithmetic on canonical pairs and the packed exact division are checked
+against the general constructor and the schoolbook division.
 """
 
+import contextlib
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add, mul, sub, truediv
 from unittest import mock
 
 import pytest
@@ -16,14 +19,19 @@ from hypothesis import strategies as st
 from psipascal import scalars
 from psipascal.scalars import (
     _PACK_CUTOFF,
+    _UNDECIDED,
     RationalFunction,
     _dense,
+    _pack,
+    _pexquo,
+    _pexquo_packed,
     _pmul,
     _pmul_packed,
     _ppow,
+    _unpack,
 )
 
-from oracles import poly_mul
+from oracles import poly_add, poly_mul
 
 RF = RationalFunction
 
@@ -363,3 +371,317 @@ class TestCanonicalStorage:
         assert num[-1:] != (0,)
         # the public form divides both by den's leading coefficient
         assert a.denominator[-1] == 1
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on canonical pairs, against the general constructor
+# ---------------------------------------------------------------------------
+
+
+def _unreduced_product(an, ad, bn, bd):
+    return RF(poly_mul(an, bn), poly_mul(ad, bd))
+
+
+def _unreduced_sum(an, ad, bn, bd):
+    return RF(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
+
+
+@contextlib.contextmanager
+def forced(route):
+    """Send every sum, product and quotient down one route.
+
+    "general" builds each result with the general constructor from the
+    unreduced sum or product of the operands' pairs, computed by the oracle;
+    "pairs" leaves the arithmetic on canonical pairs in place.
+    """
+    if route == "pairs":
+        yield
+        return
+    with mock.patch.object(scalars, "_product", _unreduced_product):
+        with mock.patch.object(scalars, "_sum", _unreduced_sum):
+            yield
+
+
+@contextlib.contextmanager
+def constructor_calls():
+    """The argument tuples of every general-constructor call in the block."""
+    calls, original = [], RF.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        original(self, *args)
+
+    RF.__init__ = counting
+    try:
+        yield calls
+    finally:
+        RF.__init__ = original
+
+
+def _pair(value):
+    return value._num, value._den
+
+
+SHAPES = ("zero", "constant", "polynomial", "quotient")
+signed = st.sampled_from([1, -1])
+
+
+@st.composite
+def shaped_values(draw, shapes=SHAPES):
+    """A value of one shape: zero, c/d, a polynomial over an integer, or a quotient."""
+    shape = draw(st.sampled_from(shapes))
+    if shape == "zero":
+        return RF(0)
+    if shape == "constant":
+        return RF(Fraction(draw(coeffs.filter(bool)), draw(st.integers(1, 10**6))))
+    den = draw(st.integers(1, 60)) * draw(signed)
+    num = draw(int_polys(size=st.integers(min_value=2, max_value=12)))
+    if shape == "polynomial":
+        return RF(num, [den])
+    return RF(num, draw(int_polys(elements=small, size=st.integers(min_value=2, max_value=6))))
+
+
+@st.composite
+def divisible_pairs(draw):
+    """(P/d, c/D) or the reverse, where the primitive part of D divides P."""
+    divisor = draw(int_polys(elements=small, size=st.integers(min_value=2, max_value=12)))
+    cofactor = draw(int_polys(size=st.integers(min_value=1, max_value=14)))
+    content = draw(st.integers(1, 12)) * draw(signed)
+    poly = RF(poly_mul(cofactor, divisor), [draw(st.integers(1, 40))])
+    scale = RF(draw(coeffs.filter(bool)), [content * c for c in divisor])
+    return (poly, scale) if draw(st.booleans()) else (scale, poly)
+
+
+OPERATIONS = (add, sub, mul, truediv)
+
+
+def _results(a, b, e):
+    """Every operation of a and b, with its name; division only by a nonzero b."""
+    out = [(op.__name__, op(a, b)) for op in OPERATIONS if op is not truediv or b]
+    out.append(("neg", -a))
+    if a:
+        out.append(("pow", a ** -e))
+    return out
+
+
+class TestPairArithmetic:
+    """Each result is the very pair the general constructor gives."""
+
+    @pytest.mark.parametrize("route", ["general", "pairs"])
+    @given(shaped_values(), shaped_values(), st.integers(1, 3))
+    @settings(deadline=None, max_examples=120)
+    def test_each_route_equals_the_constructor(self, route, a, b, e):
+        with forced(route):
+            results = _results(a, b, e)
+        an, ad, bn, bd = *_pair(a), *_pair(b)
+        expected = {
+            "add": RF(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)),
+            "sub": RF(poly_add(poly_mul(an, bd), poly_mul([-c for c in bn], ad)), poly_mul(ad, bd)),
+            "mul": RF(poly_mul(an, bn), poly_mul(ad, bd)),
+            "neg": RF([-c for c in an], ad),
+        }
+        if b:
+            expected["truediv"] = RF(poly_mul(an, bd), poly_mul(ad, bn))
+        if a:
+            expected["pow"] = RF(_ppow(ad, e), _ppow(an, e))
+        for name, value in results:
+            assert _pair(value) == _pair(expected[name]), name
+
+    @given(shaped_values(), st.sampled_from([Fraction(-7, 3), Fraction(0), 5, -1]))
+    @settings(deadline=None, max_examples=120)
+    def test_routes_agree_with_rational_operands(self, a, r):
+        def binary(x, y):
+            return [_pair(op(x, y)) for op in OPERATIONS if op is not truediv or y]
+
+        for x, y in ((a, r), (r, a)):
+            with forced("general"):
+                expected = binary(x, y)
+            assert binary(x, y) == expected
+
+    @given(shaped_values(("zero", "constant", "polynomial")), shaped_values(("zero", "constant", "polynomial")))
+    @settings(deadline=None, max_examples=120)
+    def test_integer_denominators_skip_the_constructor(self, a, b):
+        def ops(x, y):
+            # a quotient by a non-constant polynomial has a polynomial denominator
+            return [x + y, x - y, x * y] + ([x / y] if y.is_constant and y else [])
+
+        with constructor_calls() as calls:
+            results = ops(a, b)
+        assert calls == []
+        with forced("general"):
+            expected = ops(a, b)
+        assert list(map(_pair, results)) == list(map(_pair, expected))
+
+    @given(shaped_values(("constant",)), shaped_values())
+    @settings(deadline=None, max_examples=120)
+    def test_constant_factors_skip_the_constructor(self, c, a):
+        with constructor_calls() as calls:
+            results = [c * a, a * c, a / c] + ([c / a] if a else [])
+        assert calls == []
+        with forced("general"):
+            expected = [c * a, a * c, a / c] + ([c / a] if a else [])
+        assert list(map(_pair, results)) == list(map(_pair, expected))
+
+    @given(divisible_pairs())
+    @settings(deadline=None, max_examples=120)
+    def test_divide_first_products_skip_the_constructor(self, pair):
+        a, b = pair
+        with constructor_calls() as calls:
+            product = a * b
+        assert calls == []
+        with forced("general"):
+            assert _pair(product) == _pair(a * b)
+        # the same route serves a quotient by the inverse
+        inverse = 1 / b
+        with constructor_calls() as calls:
+            quotient = a / inverse
+        assert calls == []
+        assert quotient == product
+
+    def test_a_product_that_needs_a_polynomial_gcd_takes_the_constructor(self):
+        # (q + 1)/(q - 1) * (q - 1)/(q + 2): neither cross pair has a constant
+        a = RF([1, 1], [-1, 1])
+        b = RF([-1, 1], [2, 1])
+        with constructor_calls() as calls:
+            product = a * b
+        assert len(calls) == 1
+        assert _pair(product) == ((1, 1), (2, 1))
+
+    def test_zero_and_sign_cases(self):
+        x = RF([3, 0, -6], [5])
+        cases = [
+            (x - x, ((), (1,))),
+            (x * 0, ((), (1,))),
+            (RF(0) / x, ((), (1,))),
+            (x / -3, ((-1, 0, 2), (5,))),
+            (-3 / x, ((5,), (-1, 0, 2))),
+            (x * Fraction(-5, 3), ((-1, 0, 2), (1,))),
+            (x + Fraction(-3, 5), ((0, 0, -6), (5,))),
+            (RF([1], [-2, 0, -4]) * RF([2, 0, 4]), ((-1,), (1,))),
+            (RF([2], [-1, 1]) ** -2, ((1, -2, 1), (4,))),
+            (RF([-2], [1, 1]) ** -1, ((-1, -1), (2,))),
+        ]
+        for value, pair in cases:
+            assert _pair(value) == pair
+            assert _pair(RF(value.numerator, value.denominator)) == pair
+
+
+# ---------------------------------------------------------------------------
+# packed exact division
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def forced_division(route):
+    """Send every exact division down one path, and count the packed attempts.
+
+    "packed" lowers the cutoff to one term, so every division by a divisor
+    with at most half zeros is tried packed first; "school" raises it past
+    any size, so none is.
+    """
+    with mock.patch.object(scalars, "_PACK_CUTOFF", 1 if route == "packed" else 10**9):
+        with mock.patch.object(scalars, "_pexquo_packed", wraps=scalars._pexquo_packed) as spy:
+            yield spy
+
+
+def _ints(cs) -> tuple:
+    """The oracle's integral Fraction coefficients as the kernel's ints."""
+    return tuple(int(c) for c in cs)
+
+
+dense_divisors = int_polys(
+    elements=st.one_of(small, huge).filter(bool), size=st.integers(min_value=1, max_value=2 * _PACK_CUTOFF)
+)
+
+
+@st.composite
+def division_pairs(draw):
+    """(a, b, quotient or None): a = b c, or b c plus a remainder of lower degree."""
+    b = draw(dense_divisors)
+    c = draw(int_polys(size=st.integers(min_value=1, max_value=3 * _PACK_CUTOFF)))
+    a = _ints(poly_mul(b, c))
+    if len(b) > 1 and draw(st.booleans()):
+        r = draw(int_polys(size=st.integers(min_value=1, max_value=len(b) - 1)))
+        return _ints(poly_add(a, r)), b, None
+    return a, b, c
+
+
+class TestPackedExactDivision:
+    @pytest.mark.parametrize("route", ["school", "packed"])
+    @given(division_pairs())
+    @settings(deadline=None, max_examples=150)
+    def test_each_path_gives_the_quotient(self, route, case):
+        a, b, quotient = case
+        with forced_division(route) as packed:
+            assert _pexquo(a, b) == quotient
+        if route == "school":
+            assert packed.call_count == 0
+        elif quotient is not None:
+            # a divisible pair never fails the constant-term test first
+            assert packed.call_count == 1
+
+    @given(int_polys(), dense_divisors)
+    @settings(deadline=None, max_examples=150)
+    def test_paths_agree_on_random_pairs(self, a, b):
+        with forced_division("school"):
+            school = _pexquo(a, b)
+        with forced_division("packed"):
+            assert _pexquo(a, b) == school
+        if len(a) >= len(b):
+            packed = _pexquo_packed(a, b)
+            assert packed is _UNDECIDED or packed == school
+
+    def test_images_divide_although_the_polynomials_do_not(self):
+        # a = b0 q^9 and b = 2 b0: a(X) / b(X) = X^9 / 2 is an integer for
+        # X = 2^(8 width), yet a / b = q^9 / 2 is not over Z
+        b0 = tuple(range(1, _PACK_CUTOFF + 3))
+        a = (0,) * 9 + b0
+        b = tuple(2 * c for c in b0)
+        width = max(a + b).bit_length() // 8 + 1
+        assert divmod(_pack(a, width), _pack(b, width))[1] == 0
+        assert _pexquo_packed(a, b) is _UNDECIDED
+        assert _pexquo(a, b) is None
+        # over Q the quotient exists, so the canonical form keeps the 2
+        assert _pair(RF(a, b)) == ((0,) * 9 + (1,), (2,))
+
+    def test_a_quotient_that_overflows_its_slot_falls_back(self):
+        # (1 - q^10)^9 / (1 - q)^9 = (1 + q + ... + q^9)^9: operands of at
+        # most 7 bits, a quotient coefficient of 27 bits
+        a = _ppow((1,) + (0,) * 9 + (-1,), 9)
+        b = _ppow((1, -1), 9)
+        quotient = _ppow((1,) * 10, 9)
+        top = max(max(map(abs, a)), max(map(abs, b)))
+        assert max(quotient).bit_length() > top.bit_length() + 8
+        assert _dense(b) and len(a) - len(b) + 1 >= _PACK_CUTOFF
+        assert _pexquo_packed(a, b) is _UNDECIDED
+        with mock.patch.object(scalars, "_pexquo_packed", wraps=scalars._pexquo_packed) as packed:
+            assert _pexquo(a, b) == quotient
+        assert packed.call_count == 1
+
+    def test_a_packed_quotient_past_the_last_slot_falls_back(self):
+        # one-byte slots; the integer quotient of the images is about 0.87 X^10,
+        # which with the slot offsets needs an eleventh slot
+        a = (-87, 75, 9, 22, 46, -29, -121, 64, -5, 30, -39, 122, -2, -32, 111, -28, 10, -122, 116)
+        b = (125, -72, -73, 119, -86, 111, 59, -127, -35, 1)
+        quo, rem = divmod(_pack(a, 1), _pack(b, 1))
+        assert rem == 0
+        with pytest.raises(OverflowError):
+            _unpack(quo, len(a) - len(b) + 1, 1)
+        assert _pexquo_packed(a, b) is _UNDECIDED
+        with forced_division("school"):
+            assert _pexquo(a, b) is None
+        assert _pexquo(a, b) is None
+
+    def test_packed_gaussian_binomial_quotient(self):
+        # [24]! / ([12]! [12]!) as the canonicaliser meets it
+        def q_int(n):
+            return (1,) * n
+
+        fact = [(1,)]
+        for n in range(1, 25):
+            fact.append(_pmul(fact[-1], q_int(n)))
+        a, b = fact[24], _pmul(fact[12], fact[12])
+        quotient = _pexquo_packed(a, b)
+        assert quotient is not _UNDECIDED and _pmul(quotient, b) == a
+        with forced_division("school"):
+            assert _pexquo(a, b) == quotient

@@ -344,3 +344,49 @@ class TestCustomAndSelectors:
         first = seq.binomial(6, 3)
         assert seq.binomial(6, 3) == first
         assert seq.binomial(6, 3) is seq.binomial(6, 3)
+
+
+# points that are not roots of unity, so no q-integer vanishes there
+SPECIAL_POINTS = (Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 3))
+SPECIAL_N = 12
+
+
+def memo_values(seq) -> dict:
+    """The integers, factorials and binomials of seq up to n = 12, by name."""
+    values = {}
+    for n in range(SPECIAL_N + 1):
+        if n:
+            values[("integer", n)] = seq.integer(n)
+        values[("factorial", n)] = seq.factorial(n)
+        for k in range(n + 1):
+            values[("binomial", n, k)] = seq.binomial(n, k)
+    return values
+
+
+def specialised(values: dict, r) -> dict:
+    return {key: value.eval_at(r) for key, value in values.items()}
+
+
+class TestSpecialisation:
+    """Every Q(q) value, evaluated at q = r, is the value of the q=r sequence.
+
+    The two sides are computed in different fields, Q(q) by the polynomial
+    kernel and Q by Fraction, so a wrong rational-function result shows as a
+    mismatch at one of the points.  At r = 1 the q=r side is the classical
+    sequence itself.
+    """
+
+    @pytest.mark.parametrize("r", SPECIAL_POINTS, ids=str)
+    def test_memo_values(self, r):
+        assert specialised(memo_values(q_symbolic()), r) == memo_values(from_selector(f"q={r}"))
+
+    def test_memo_values_at_one_are_classical(self):
+        assert specialised(memo_values(q_symbolic()), 1) == memo_values(classical())
+
+    @pytest.mark.parametrize("r", SPECIAL_POINTS + (Fraction(1),), ids=str)
+    def test_plus_power_at_rational_points(self, r):
+        seq = q_symbolic()
+        target = classical() if r == 1 else from_selector(f"q={r}")
+        for x, y in ((Fraction(-547, 811), Fraction(601, 743)), (Fraction(3, 2), Fraction(-7, 5))):
+            for n in range(SPECIAL_N + 1):
+                assert psi_plus_power(seq, x, y, n).eval_at(r) == psi_plus_power(target, x, y, n)

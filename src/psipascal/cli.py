@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .engine import InvalidParamsError, UnknownIdentityError, run_identity, run_suite
+from .engine import InvalidParamsError, UnknownIdentityError, check_point_degree, run_identity, run_suite
 from .matrices import (
     fermat,
     k_matrix,
@@ -148,6 +148,8 @@ def _cmd_gen(args) -> int:
     n = _capped_size(args, seq)
     if args.kind == "pascal":
         x = seq.field.parse(args.x if args.x is not None else "1")
+        # P[x] of size n holds the powers of x up to x^(n-1)
+        check_point_degree("x", x, n, n - 1)
         matrix = pascal_closed(seq, n, x)
         document = matrix_document("pascal", seq, matrix, x)
     else:

@@ -82,15 +82,20 @@ class PoleError(ZeroDivisionError):
 # that general canonicalisation where integer gcds give the canonical pair
 # (constant denominators, a constant factor) or one exact division does (a
 # polynomial times c/D); see "arithmetic on canonical pairs".  Exact
-# division of a dense divisor and quotient is one big-int divmod of the
-# packed operands, its quotient proved by multiplying it back; every other
-# division, and every packed one that cannot decide, is integer trial
+# division of a long dense divisor by a long quotient is one big-int divmod
+# of the packed operands, its quotient proved by multiplying it back; every
+# other division, and every packed one that cannot decide, is integer trial
 # division.
 # ---------------------------------------------------------------------------
 
 # Fewest terms each operand needs for the packed product.  Replaying every
 # product of `check eq4 -s q` and `check eq11-basic -s q` through both loops
 # on CPython 3.11 put the break-even at 8-9 terms in the shorter operand.
+# Packed exact division packs, divides, unpacks and multiplies back, so it
+# needs twice as many terms in both the divisor and the quotient: replaying
+# the divisions of the q-dense and suite-full benchmark workloads, and a
+# ladder of dense divisors and quotients of 10 to 1000 terms, put its
+# break-even at 16-24 terms in the shorter of the two.
 _PACK_CUTOFF = 10
 
 
@@ -132,6 +137,11 @@ def _pmul(a: tuple, b: tuple) -> tuple:
 
 
 def _pmul_school(a: tuple, b: tuple) -> tuple:
+    # a constant factor is a scaling
+    if len(a) == 1:
+        return _pscale(b, a[0])
+    if len(b) == 1:
+        return _pscale(a, b[0])
     out = [0] * (len(a) + len(b) - 1)
     terms = [(j, b[j]) for j in compress(range(len(b)), b)]
     for i in compress(range(len(a)), a):
@@ -207,7 +217,7 @@ def _primitive(a: tuple) -> tuple:
         return Fraction(g, d), a
     if a[-1] < 0:
         g = -g
-    return g, (a if g == 1 else tuple([c // g for c in a]))
+    return g, _pdivi(a, g)
 
 
 def _pexquo(a: tuple, b: tuple):
@@ -215,7 +225,7 @@ def _pexquo(a: tuple, b: tuple):
     db = len(b) - 1
     if len(a) <= db or (b[0] and a[0] % b[0]):
         return None
-    if len(a) - db >= _PACK_CUTOFF and _dense(b):
+    if min(len(a) - db, len(b)) >= 2 * _PACK_CUTOFF and _dense(b):
         quo = _pexquo_packed(a, b)
         if quo is not _UNDECIDED:
             return quo
@@ -302,6 +312,11 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
 
 def _pscale(a: tuple, k: int) -> tuple:
     return a if k == 1 else tuple([k * c for c in a])
+
+
+def _pdivi(a: tuple, g: int) -> tuple:
+    """a / g for an integer g that divides every coefficient."""
+    return a if g == 1 else tuple([c // g for c in a])
 
 
 def _peval(a: tuple, point: Fraction):
@@ -571,20 +586,6 @@ def _inverse(num: tuple, den: tuple) -> tuple:
     return (_pneg(den), _pneg(num)) if num[-1] < 0 else (den, num)
 
 
-def _pdivi(a: tuple, g: int) -> tuple:
-    """a / g for an integer g that divides every coefficient."""
-    return a if g == 1 else tuple([c // g for c in a])
-
-
-def _ptimes(a: tuple, b: tuple) -> tuple:
-    """_pmul, with a constant factor applied as a scaling."""
-    if len(a) == 1:
-        return _pscale(b, a[0])
-    if len(b) == 1:
-        return _pscale(a, b[0])
-    return _pmul(a, b)
-
-
 def _cancel(n: tuple, d: tuple):
     """(n / g, d / g) for g = gcd(n, d) over Z[q] with a positive lead, or None.
 
@@ -623,7 +624,7 @@ def _product(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:
     if second is None:
         return RationalFunction(_pmul(an, bn), _pmul(ad, bd))
     (n1, d1), (n2, d2) = _cancel(an, bd), second
-    return RationalFunction._make(_ptimes(n1, n2), _ptimes(d2, d1))
+    return RationalFunction._make(_pmul(n1, n2), _pmul(d2, d1))
 
 
 def _sum(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:

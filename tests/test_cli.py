@@ -226,6 +226,16 @@ class TestRationalFunctionPoints:
         gen = run_main(capsys, "gen", "pascal", "-s", "classical", "-n", "2", "--x", value)
         assert gen == (2, "", f"psipascal: error: {message}\n")
 
+    def test_gen_pascal_takes_the_point_degree_budget(self, capsys):
+        # P[x] of size 64 holds x^63: degree 63 * 24 is within MAX_Q_EXPONENT // 64 = 1562
+        argv = ["gen", "pascal", "-s", "classical", "-n", "64", "-f", "csv"]
+        code, out, err = run_main(capsys, *argv, "--x", "q^24")
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("(q^1512)/(1),")
+        code, out, err = run_main(capsys, *argv, "--x", "q^25")
+        assert (code, out) == (2, "")
+        assert err.startswith("psipascal: error: parameter 'x': degree 25 in q")
+
 
 class TestSuiteCommand:
     def test_quick_suite_is_healthy(self, capsys):

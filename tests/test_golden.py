@@ -238,6 +238,11 @@ ERRORS = [
         ["check", "exp-vs-closed", "-s", "q", "-n", "2", "--x", "q^50001"],
         "parameter 'x': degree 50001 in q, raised to the power 1, is above degree 50000 at n = 2",
     ),
+    # gen pascal holds x^(n-1) and takes the same budget
+    (
+        ["gen", "pascal", "-s", "classical", "-n", "64", "--x", "q^25"],
+        "parameter 'x': degree 25 in q, raised to the power 63, is above degree 1562 at n = 64",
+    ),
 ]
 
 # q = -1 is a root of unity: whichever route first reads an integer

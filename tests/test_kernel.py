@@ -575,11 +575,11 @@ class TestPairArithmetic:
 def forced_division(route):
     """Send every exact division down one path, and count the packed attempts.
 
-    "packed" lowers the cutoff to one term, so every division by a divisor
+    "packed" lowers the cutoff to zero terms, so every division by a divisor
     with at most half zeros is tried packed first; "school" raises it past
     any size, so none is.
     """
-    with mock.patch.object(scalars, "_PACK_CUTOFF", 1 if route == "packed" else 10**9):
+    with mock.patch.object(scalars, "_PACK_CUTOFF", 0 if route == "packed" else 10**9):
         with mock.patch.object(scalars, "_pexquo_packed", wraps=scalars._pexquo_packed) as spy:
             yield spy
 
@@ -652,11 +652,24 @@ class TestPackedExactDivision:
         quotient = _ppow((1,) * 10, 9)
         top = max(max(map(abs, a)), max(map(abs, b)))
         assert max(quotient).bit_length() > top.bit_length() + 8
-        assert _dense(b) and len(a) - len(b) + 1 >= _PACK_CUTOFF
         assert _pexquo_packed(a, b) is _UNDECIDED
-        with mock.patch.object(scalars, "_pexquo_packed", wraps=scalars._pexquo_packed) as packed:
+        with forced_division("packed") as packed:
             assert _pexquo(a, b) == quotient
         assert packed.call_count == 1
+
+    def test_only_long_divisors_and_quotients_are_packed(self):
+        # the packed route needs at least 2 _PACK_CUTOFF terms in both the
+        # divisor and the quotient; one term fewer in either takes the loop
+        def pair(nb, nq):
+            b = tuple(range(1, nb + 1))
+            return _pmul(b, tuple(range(2, nq + 2))), b
+
+        edge = 2 * _PACK_CUTOFF
+        for nb, nq, packs in ((edge, edge, True), (edge - 1, 5 * edge, False), (5 * edge, edge - 1, False)):
+            a, b = pair(nb, nq)
+            with mock.patch.object(scalars, "_pexquo_packed", wraps=scalars._pexquo_packed) as packed:
+                assert _pmul(_pexquo(a, b), b) == a
+            assert packed.call_count == packs
 
     def test_a_packed_quotient_past_the_last_slot_falls_back(self):
         # one-byte slots; the integer quotient of the images is about 0.87 X^10,

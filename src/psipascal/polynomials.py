@@ -92,30 +92,6 @@ class Polynomial:
             out[i] = out[i] + c
         return Polynomial(out, self._field.join(other._field))
 
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs), self._field)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
-                return Polynomial((), self._field.join(other._field))
-            out = [self._field.join(other._field).zero] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, ca in enumerate(self._coeffs):
-                if not ca:
-                    continue
-                for j, cb in enumerate(other._coeffs):
-                    if cb:
-                        out[i + j] = out[i + j] + ca * cb
-            return Polynomial(out, self._field.join(other._field))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def scale(self, value) -> "Polynomial":
         return Polynomial(tuple(c * value for c in self._coeffs))
 

@@ -74,14 +74,13 @@ class PoleError(ZeroDivisionError):
 #
 # Every coefficient the kernel sees is an int.  A rational function is stored
 # as a pair of integer polynomials (see RationalFunction); the only Fraction
-# coefficients are the public constructor's input, cleared in _primitive, and
-# the monic form the public accessors derive.  Products of operands with
-# enough dense terms are one big-int product (Kronecker substitution), and
-# canonicalisation splits both sides into an integer content times a
-# primitive polynomial, then divides out their gcd over Z.  Arithmetic skips
-# that general canonicalisation where integer gcds give the canonical pair
-# (constant denominators, a constant factor) or one exact division does (a
-# polynomial times c/D); see "arithmetic on canonical pairs".  Exact
+# coefficients are the public constructor's input, cleared there with one
+# lcm, and the monic form the public accessors derive.  Products of operands
+# with enough dense terms are one big-int product (Kronecker substitution).
+# Every result is reduced by one gcd step, _cancel: an integer gcd where one
+# side is a constant, one exact division where the primitive part of the
+# denominator divides the numerator, and otherwise the contents' gcd times
+# the primitive PRS gcd; see "arithmetic on canonical pairs".  Exact
 # division of a long dense divisor by a long quotient is one big-int divmod
 # of the packed operands, its quotient proved by multiplying it back; every
 # other division, and every packed one that cannot decide, is integer trial
@@ -202,19 +201,8 @@ def _ppow(a: tuple, e: int) -> tuple:
 
 
 def _primitive(a: tuple) -> tuple:
-    """(content, p) with a == content * p, p primitive over Z with positive lead.
-
-    The content is an int.  Only the public constructor's input can hold
-    other coefficients (Fractions); math.gcd rejects them, and they are
-    cleared here, which makes the content a Fraction.
-    """
-    try:
-        g = gcd(*a)
-    except TypeError:
-        fs = [Fraction(c) for c in a]
-        d = lcm(*[f.denominator for f in fs])
-        g, a = _primitive(tuple([f.numerator * (d // f.denominator) for f in fs]))
-        return Fraction(g, d), a
+    """(content, p) with a == content * p, p primitive over Z with positive lead."""
+    g = gcd(*a)
     if a[-1] < 0:
         g = -g
     return g, _pdivi(a, g)
@@ -408,23 +396,10 @@ class RationalFunction:
         den = _to_poly(denominator)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self._num, self._den = (), (1,)
-            return
-        # num/den == (cn/cd) * num'/den' with num', den' primitive over Z, so
-        # by Gauss's lemma divisibility over Q is divisibility over Z
-        cn, num = _primitive(num)
-        cd, den = _primitive(den)
-        if len(den) > 1:
-            quo = _pexquo(num, den)
-            if quo is not None:
-                num, den = quo, (1,)
-            elif len(num) > 1:
-                g = _pgcd(num, den)
-                if len(g) > 1:
-                    num, den = _pexquo(num, g), _pexquo(den, g)
-        k = Fraction(cn, cd)
-        self._num, self._den = _pscale(num, k.numerator), _pscale(den, k.denominator)
+        # one lcm clears every Fraction coefficient; an int is its own numerator
+        k = lcm(*[c.denominator for c in num + den])
+        num, den = [tuple([c.numerator * (k // c.denominator) for c in p]) for p in (num, den)]
+        self._num, self._den = _reduce(num, den)
 
     @classmethod
     def _make(cls, num: tuple, den: tuple) -> "RationalFunction":
@@ -574,10 +549,10 @@ class RationalFunction:
 # arithmetic on canonical pairs
 #
 # The operators pass canonical pairs (num, den) to these functions, which
-# build the canonical pair of the result.  Only where that needs a gcd of two
-# non-constant polynomials do they go through the general constructor; the
-# gcds they use instead are integer gcds, or a divisor found by exact
-# division (von zur Gathen & Gerhard, Modern Computer Algebra, 6.2).
+# build the canonical pair of the result the way Fraction adds and
+# multiplies.  By Gauss's lemma over the UFD Z[q] each needs one complete
+# gcd step, _cancel, which the constructor shares through _reduce (von zur
+# Gathen & Gerhard, Modern Computer Algebra, 6.2).
 # ---------------------------------------------------------------------------
 
 
@@ -586,12 +561,13 @@ def _inverse(num: tuple, den: tuple) -> tuple:
     return (_pneg(den), _pneg(num)) if num[-1] < 0 else (den, num)
 
 
-def _cancel(n: tuple, d: tuple):
-    """(n / g, d / g) for g = gcd(n, d) over Z[q] with a positive lead, or None.
+def _cancel(n: tuple, d: tuple) -> tuple:
+    """(n / g, d / g) for g = gcd(n, d) over Z[q], with the sign of d's lead kept in d / g.
 
-    When n or d is a constant, g is an integer gcd.  Otherwise g is found
-    only if the primitive part p of d divides n: d = c p for the content c,
-    and g = p gcd(c, n / p).  None means that a polynomial gcd is needed.
+    When n or d is a constant, g is an integer gcd.  Otherwise d = c p for
+    its content c and primitive part p.  If p divides n, g = p gcd(c, n / p);
+    if not, g is the gcd of the two contents times the primitive PRS gcd of
+    the two primitive parts.
     """
     if len(d) == 1:
         g = gcd(d[0], *n)
@@ -599,12 +575,22 @@ def _cancel(n: tuple, d: tuple):
     if len(n) == 1:
         g = gcd(n[0], *d)
         return (n[0] // g,), _pdivi(d, g)
-    c = gcd(*d)
-    quo = _pexquo(n, _pdivi(d, c))
-    if quo is None:
-        return None
-    g = gcd(c, *quo)
-    return _pdivi(quo, g), (c // g,)
+    c, p = _primitive(d)
+    quo = _pexquo(n, p)
+    if quo is not None:
+        g = gcd(c, *quo)
+        return _pdivi(quo, g), (c // g,)
+    cn, pn = _primitive(n)
+    g, k = _pgcd(pn, p), gcd(cn, c)
+    return _pscale(_pexquo(pn, g), cn // k), _pscale(_pexquo(p, g), c // k)
+
+
+def _reduce(n: tuple, d: tuple) -> tuple:
+    """The canonical pair of n/d, for integer polynomials n and nonzero d."""
+    if not n:
+        return (), (1,)
+    n, d = _cancel(n, d)
+    return (_pneg(n), _pneg(d)) if d[-1] < 0 else (n, d)
 
 
 def _product(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:
@@ -616,21 +602,14 @@ def _product(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:
     """
     if not an or not bn:
         return RationalFunction._make((), (1,))
-    # one of the two cancellations must have an integer gcd; the other may
-    # try an exact division
-    if len(an) > 1 and len(bd) > 1:
-        an, ad, bn, bd = bn, bd, an, ad
-    second = None if len(an) > 1 and len(bd) > 1 else _cancel(bn, ad)
-    if second is None:
-        return RationalFunction(_pmul(an, bn), _pmul(ad, bd))
-    (n1, d1), (n2, d2) = _cancel(an, bd), second
+    (n1, d1), (n2, d2) = _cancel(an, bd), _cancel(bn, ad)
     return RationalFunction._make(_pmul(n1, n2), _pmul(d2, d1))
 
 
 def _sum(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:
     """an/ad + bn/bd for canonical pairs; integer denominators add as Fraction adds."""
     if len(ad) > 1 or len(bd) > 1:
-        return RationalFunction(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+        return RationalFunction._make(*_reduce(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd)))
     da, db = ad[0], bd[0]
     # by Gauss's lemma only an integer can divide both sides, and with
     # g = gcd(da, db) it divides g (so nothing cancels when g = 1)

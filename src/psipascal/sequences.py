@@ -1,10 +1,10 @@
 """Admissible sequences of generalized integers.
 
 An admissible sequence assigns to every n >= 1 a nonzero scalar, its
-generalized integer.  Factorials, binomials and falling factorials are
-derived from those integers exactly as in the classical case, with the
-empty product equal to one.  The binomials are not factorial quotients:
-each comes from its neighbour on the diagonal by the ratio rule
+generalized integer.  Factorials and binomials are derived from those
+integers exactly as in the classical case, with the empty product equal
+to one.  The binomials are not factorial quotients: each comes from its
+neighbour on the diagonal by the ratio rule
 binomial(n, k) = binomial(n-1, k-1) * n_psi / k_psi, one product and one
 exact division by the small k_psi, so no factorial is ever divided and
 the factorial memo is a route of its own.  One method, ``binomial_sum``,
@@ -155,21 +155,6 @@ class AdmissibleSequence:
 
     def binomial_row(self, n: int) -> tuple[Scalar, ...]:
         return tuple(self.binomial(n, k) for k in range(n + 1))
-
-    def falling_factorial(self, n: int, k: int) -> Scalar:
-        """Product n_psi (n-1)_psi ... (n-k+1)_psi; requires k <= n (or k = 0)."""
-        if k < 0:
-            raise ValueError(f"falling factorial needs k >= 0, got {k}")
-        if k == 0:
-            return self.field.one
-        if k > n:
-            raise ValueError(
-                f"falling factorial ({n}, {k}) would reach a non-positive index"
-            )
-        value = self.field.one
-        for m in range(n, n - k, -1):
-            value = value * self.integer(m)
-        return value
 
     def binomial_sum(self, n: int, a: Sequence, b: Sequence) -> Scalar:
         """The binomial convolution sum of binomial(n, k) a[k] b[n-k], k = 0 .. n.

@@ -6,7 +6,7 @@ test comparing package output to an oracle exercises two separate routes.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 
 def fib(n: int) -> int:
@@ -103,6 +103,47 @@ def poly_divexact(a, b):
     return quo
 
 
+def poly_rem(a, b):
+    """Remainder of a by b over Q by long division; b has a nonzero last term."""
+    rem = [Fraction(c) for c in a]
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        off = len(rem) - len(b)
+        for t, c in enumerate(b):
+            rem[off + t] -= f * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def poly_gcd(a, b):
+    """Monic gcd over Q by Euclid's algorithm; a and b are not both zero."""
+    a = [Fraction(c) for c in a]
+    while b:
+        a, b = b, poly_rem(a, b)
+    return [c / a[-1] for c in a]
+
+
+def reduce_pair(num, den):
+    """The canonical integer pair of num/den, as two tuples of ints.
+
+    Numerator and denominator are divided by their monic gcd over Q, then
+    scaled to integer coefficients with no common integer factor and a
+    positive leading denominator coefficient; zero is ((), (1,)).
+    """
+    num, den = poly_add(num, []), poly_add(den, [])  # trimmed Fraction lists
+    if not num:
+        return (), (1,)
+    g = poly_gcd(num, den)
+    num, den = poly_divexact(num, g), poly_divexact(den, g)
+    cs = num + den
+    scale = Fraction(lcm(*[c.denominator for c in cs]), gcd(*[c.numerator for c in cs]))
+    if den[-1] < 0:
+        scale = -scale
+    return tuple(int(c * scale) for c in num), tuple(int(c * scale) for c in den)
+
+
 def q_factorial(n: int):
     """[n]_q! as a coefficient list: the product of 1 + q + ... + q^(m-1), m = 1 .. n."""
     out = [Fraction(1)]
@@ -149,6 +190,9 @@ __all__ = [
     "poly_divexact",
     "poly_mul",
     "poly_eval",
+    "poly_gcd",
+    "poly_rem",
+    "reduce_pair",
     "gaussian_binomial",
     "gaussian_quotient",
     "q_factorial",

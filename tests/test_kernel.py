@@ -2,21 +2,23 @@
 
 The packed (Kronecker) product is checked against the schoolbook oracle in
 ``oracles.py``, the fraction-free canonicalisation against ``sympy.cancel``.
-The arithmetic on canonical pairs and the packed exact division are checked
-against the general constructor and the schoolbook division.
+The arithmetic on canonical pairs is checked against the oracle's own
+reduction, and the packed exact division against the schoolbook division.
 """
 
 import contextlib
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from operator import add, mul, sub, truediv
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psipascal import scalars
+from psipascal.engine import MUST_PASS, run_suite
 from psipascal.scalars import (
     _PACK_CUTOFF,
     _UNDECIDED,
@@ -31,7 +33,7 @@ from psipascal.scalars import (
     _unpack,
 )
 
-from oracles import poly_add, poly_mul
+from oracles import poly_add, poly_mul, reduce_pair
 
 RF = RationalFunction
 
@@ -374,7 +376,7 @@ class TestCanonicalStorage:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic on canonical pairs, against the general constructor
+# arithmetic on canonical pairs, against an independent reduction
 # ---------------------------------------------------------------------------
 
 
@@ -422,6 +424,14 @@ def _pair(value):
     return value._num, value._den
 
 
+def _operand_pair(x):
+    """The canonical pair of a RationalFunction, an int or a Fraction."""
+    if isinstance(x, RF):
+        return _pair(x)
+    x = Fraction(x)
+    return ((x.numerator,) if x else ()), (x.denominator,)
+
+
 SHAPES = ("zero", "constant", "polynomial", "quotient")
 signed = st.sampled_from([1, -1])
 
@@ -464,8 +474,39 @@ def _results(a, b, e):
     return out
 
 
+def _expected(a, b, e):
+    """The oracle's pair for each name that _results gives for a, b and e."""
+    (an, ad), (bn, bd) = _operand_pair(a), _operand_pair(b)
+    expected = {
+        "add": reduce_pair(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)),
+        "sub": reduce_pair(poly_add(poly_mul(an, bd), poly_mul([-c for c in bn], ad)), poly_mul(ad, bd)),
+        "mul": reduce_pair(poly_mul(an, bn), poly_mul(ad, bd)),
+        "neg": reduce_pair([-c for c in an], ad),
+    }
+    if bn:
+        expected["truediv"] = reduce_pair(poly_mul(an, bd), poly_mul(ad, bn))
+    if an:
+        expected["pow"] = reduce_pair(reduce(poly_mul, [ad] * e), reduce(poly_mul, [an] * e))
+    return expected
+
+
+# (q+1)/(q-1) * (q-1)/(q+2): one cross gcd is q - 1, which divides first;
+# the other, of q + 1 and q + 2, is 1 and needs the PRS to tell
+ONE_POLYNOMIAL_GCD = (RF([1, 1], [-1, 1]), RF([-1, 1], [2, 1]))
+# (q+1)(q+3)/((q-1)(q+2)) * (q-1)(q+5)/((q+1)(q+7)): both cross gcds are
+# polynomials, and neither denominator divides the other side's numerator
+TWO_POLYNOMIAL_GCDS = (
+    RF(poly_mul([1, 1], [3, 1]), poly_mul([-1, 1], [2, 1])),
+    RF(poly_mul([-1, 1], [5, 1]), poly_mul([1, 1], [7, 1])),
+)
+
+
 class TestPairArithmetic:
-    """Each result is the very pair the general constructor gives."""
+    """Each result, by either route, is the pair of an independent reduction.
+
+    The oracle (``reduce_pair``) reduces the unreduced sum, product or
+    quotient of the operands' pairs by a monic Euclid gcd over Q.
+    """
 
     @pytest.mark.parametrize("route", ["general", "pairs"])
     @given(shaped_values(), shaped_values(), st.integers(1, 3))
@@ -473,79 +514,46 @@ class TestPairArithmetic:
     def test_each_route_equals_the_constructor(self, route, a, b, e):
         with forced(route):
             results = _results(a, b, e)
-        an, ad, bn, bd = *_pair(a), *_pair(b)
-        expected = {
-            "add": RF(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd)),
-            "sub": RF(poly_add(poly_mul(an, bd), poly_mul([-c for c in bn], ad)), poly_mul(ad, bd)),
-            "mul": RF(poly_mul(an, bn), poly_mul(ad, bd)),
-            "neg": RF([-c for c in an], ad),
-        }
-        if b:
-            expected["truediv"] = RF(poly_mul(an, bd), poly_mul(ad, bn))
-        if a:
-            expected["pow"] = RF(_ppow(ad, e), _ppow(an, e))
+        expected = _expected(a, b, e)
         for name, value in results:
-            assert _pair(value) == _pair(expected[name]), name
+            assert _pair(value) == expected[name], name
 
     @given(shaped_values(), st.sampled_from([Fraction(-7, 3), Fraction(0), 5, -1]))
     @settings(deadline=None, max_examples=120)
     def test_routes_agree_with_rational_operands(self, a, r):
-        def binary(x, y):
-            return [_pair(op(x, y)) for op in OPERATIONS if op is not truediv or y]
-
         for x, y in ((a, r), (r, a)):
-            with forced("general"):
-                expected = binary(x, y)
-            assert binary(x, y) == expected
+            expected = _expected(x, y, 1)
+            for op in OPERATIONS:
+                if op is not truediv or y:
+                    assert _pair(op(x, y)) == expected[op.__name__], op.__name__
 
-    @given(shaped_values(("zero", "constant", "polynomial")), shaped_values(("zero", "constant", "polynomial")))
-    @settings(deadline=None, max_examples=120)
-    def test_integer_denominators_skip_the_constructor(self, a, b):
-        def ops(x, y):
-            # a quotient by a non-constant polynomial has a polynomial denominator
-            return [x + y, x - y, x * y] + ([x / y] if y.is_constant and y else [])
-
+    @given(st.one_of(st.tuples(shaped_values(), shaped_values()), divisible_pairs()), st.integers(1, 3))
+    @example(ONE_POLYNOMIAL_GCD, 1)
+    @example(TWO_POLYNOMIAL_GCDS, 1)
+    @settings(deadline=None, max_examples=240)
+    def test_no_operator_calls_the_constructor(self, operands, e):
+        # integer denominators, constant factors and divide-first products
+        # are special cases; a quotient by the inverse is the product
+        a, b = operands
         with constructor_calls() as calls:
-            results = ops(a, b)
+            results = _results(a, b, e) + ([("mul", a / (1 / b))] if b else [])
         assert calls == []
-        with forced("general"):
-            expected = ops(a, b)
-        assert list(map(_pair, results)) == list(map(_pair, expected))
+        expected = _expected(a, b, e)
+        for name, value in results:
+            assert _pair(value) == expected[name], name
 
-    @given(shaped_values(("constant",)), shaped_values())
-    @settings(deadline=None, max_examples=120)
-    def test_constant_factors_skip_the_constructor(self, c, a):
-        with constructor_calls() as calls:
-            results = [c * a, a * c, a / c] + ([c / a] if a else [])
-        assert calls == []
-        with forced("general"):
-            expected = [c * a, a * c, a / c] + ([c / a] if a else [])
-        assert list(map(_pair, results)) == list(map(_pair, expected))
-
-    @given(divisible_pairs())
-    @settings(deadline=None, max_examples=120)
-    def test_divide_first_products_skip_the_constructor(self, pair):
-        a, b = pair
-        with constructor_calls() as calls:
-            product = a * b
-        assert calls == []
-        with forced("general"):
-            assert _pair(product) == _pair(a * b)
-        # the same route serves a quotient by the inverse
-        inverse = 1 / b
-        with constructor_calls() as calls:
-            quotient = a / inverse
-        assert calls == []
-        assert quotient == product
-
-    def test_a_product_that_needs_a_polynomial_gcd_takes_the_constructor(self):
-        # (q + 1)/(q - 1) * (q - 1)/(q + 2): neither cross pair has a constant
-        a = RF([1, 1], [-1, 1])
-        b = RF([-1, 1], [2, 1])
-        with constructor_calls() as calls:
-            product = a * b
-        assert len(calls) == 1
-        assert _pair(product) == ((1, 1), (2, 1))
+    def test_products_that_need_a_polynomial_gcd(self):
+        cases = [
+            (ONE_POLYNOMIAL_GCD, ((1, 1), (2, 1)), 1),
+            (TWO_POLYNOMIAL_GCDS, ((15, 8, 1), (14, 9, 1)), 2),
+        ]
+        for (a, b), pair, prs_calls in cases:
+            with constructor_calls() as calls:
+                with mock.patch.object(scalars, "_pgcd", wraps=scalars._pgcd) as prs:
+                    product = a * b
+            assert calls == []
+            assert prs.call_count == prs_calls
+            assert _pair(product) == pair
 
     def test_zero_and_sign_cases(self):
         x = RF([3, 0, -6], [5])
@@ -698,3 +706,46 @@ class TestPackedExactDivision:
         assert quotient is not _UNDECIDED and _pmul(quotient, b) == a
         with forced_division("school"):
             assert _pexquo(a, b) == quotient
+
+
+# ---------------------------------------------------------------------------
+# kernel faults against the quick suite
+# ---------------------------------------------------------------------------
+
+
+def _lead_bumped(pmul):
+    def faulty(a, b):
+        out = pmul(a, b)
+        return out[:-1] + (out[-1] + 1,) if out else out
+
+    return faulty
+
+
+# fault -> (kernel name in scalars, the faulty version made from the original)
+KERNEL_FAULTS = {
+    "pgcd-is-one": ("_pgcd", lambda original: lambda a, b: (1,)),
+    "gcd-is-one": ("gcd", lambda original: lambda *args: 1),
+    "pmul-bumps-lead": ("_pmul", _lead_bumped),
+}
+
+# faults that no must-pass entry of the suite sees, with the reason
+BLIND_SPOTS = {
+    # _pgcd is reached only where an exact division fails (21 times in the
+    # quick suite, 36 in the full one), and each of those gcds is 1, so
+    # (1,) is the right answer everywhere the suite asks;
+    # TestPairArithmetic::test_products_that_need_a_polynomial_gcd sees it
+    "pgcd-is-one": "every polynomial gcd the suite asks for is 1",
+}
+
+
+@pytest.mark.parametrize("fault", list(KERNEL_FAULTS))
+def test_the_quick_suite_sees_each_kernel_fault(fault):
+    attr, make_faulty = KERNEL_FAULTS[fault]
+    with mock.patch.object(scalars, attr, make_faulty(getattr(scalars, attr))):
+        try:
+            result = run_suite("quick")
+        except Exception:
+            caught = True
+        else:
+            caught = any(e.expected == MUST_PASS and not e.as_expected for e in result.entries)
+    assert caught == (fault not in BLIND_SPOTS), BLIND_SPOTS.get(fault)

@@ -242,27 +242,6 @@ class TestBinomialSum:
         assert classical().binomial_sum(0, [5], [7]) == 35
 
 
-class TestFalling:
-    def test_classical(self):
-        assert classical().falling_factorial(5, 2) == 20
-
-    def test_fibonomial(self):
-        assert fibonomial().falling_factorial(5, 2) == fib(5) * fib(4) == 15
-
-    def test_zero_length(self):
-        assert q_symbolic().falling_factorial(3, 0) == 1
-
-    def test_matches_binomial_times_factorial(self):
-        for seq in (classical(), fibonomial(), q_symbolic()):
-            for n in range(10):
-                for k in range(n + 1):
-                    assert seq.falling_factorial(n, k) == seq.binomial(n, k) * seq.factorial(k)
-
-    def test_too_long_is_an_error(self):
-        with pytest.raises(ValueError):
-            classical().falling_factorial(3, 4)
-
-
 class TestNormality:
     def test_classical_is_normal(self):
         assert classical().is_normal_up_to(20).is_normal

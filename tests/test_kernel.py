@@ -532,8 +532,8 @@ class TestPairArithmetic:
     @example(TWO_POLYNOMIAL_GCDS, 1)
     @settings(deadline=None, max_examples=240)
     def test_no_operator_calls_the_constructor(self, operands, e):
-        # integer denominators, constant factors and divide-first products
-        # are special cases; a quotient by the inverse is the product
+        # every operator on every shape, polynomial cross gcds included;
+        # a quotient by the inverse is the product
         a, b = operands
         with constructor_calls() as calls:
             results = _results(a, b, e) + ([("mul", a / (1 / b))] if b else [])
@@ -541,6 +541,46 @@ class TestPairArithmetic:
         expected = _expected(a, b, e)
         for name, value in results:
             assert _pair(value) == expected[name], name
+
+    @given(shaped_values(("zero", "constant", "polynomial")), shaped_values(("zero", "constant", "polynomial")))
+    @settings(deadline=None, max_examples=120)
+    def test_integer_denominators_skip_the_constructor(self, a, b):
+        def ops(x, y):
+            # a quotient by a non-constant polynomial has a polynomial denominator
+            return [x + y, x - y, x * y] + ([x / y] if y.is_constant and y else [])
+
+        with constructor_calls() as calls:
+            results = ops(a, b)
+        assert calls == []
+        with forced("general"):
+            expected = ops(a, b)
+        assert list(map(_pair, results)) == list(map(_pair, expected))
+
+    @given(shaped_values(("constant",)), shaped_values())
+    @settings(deadline=None, max_examples=120)
+    def test_constant_factors_skip_the_constructor(self, c, a):
+        with constructor_calls() as calls:
+            results = [c * a, a * c, a / c] + ([c / a] if a else [])
+        assert calls == []
+        with forced("general"):
+            expected = [c * a, a * c, a / c] + ([c / a] if a else [])
+        assert list(map(_pair, results)) == list(map(_pair, expected))
+
+    @given(divisible_pairs())
+    @settings(deadline=None, max_examples=120)
+    def test_divide_first_products_skip_the_constructor(self, pair):
+        a, b = pair
+        with constructor_calls() as calls:
+            product = a * b
+        assert calls == []
+        with forced("general"):
+            assert _pair(product) == _pair(a * b)
+        # the same route serves a quotient by the inverse
+        inverse = 1 / b
+        with constructor_calls() as calls:
+            quotient = a / inverse
+        assert calls == []
+        assert quotient == product
 
     def test_products_that_need_a_polynomial_gcd(self):
         cases = [

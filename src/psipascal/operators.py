@@ -4,9 +4,11 @@ Every operator here is diagonal in the monomial basis: it multiplies x^m by
 an eigenvalue L(m).  Operator-valued integers, factorials and binomials are
 therefore diagonal as well, and any identity between them reduces to a
 family of scalar identities, one per degree.  That reduction is what the
-Cauchy check below exploits.  Each operator keeps one Pascal triangle of
-binomial eigenvalues per degree and grows it one row at a time, so a sweep
-that raises n step by step computes every row once.
+Cauchy check below exploits.  The identity at degree m depends on m only
+through its eigenvalue L(m), so degrees with equal eigenvalues are one
+identity; the eq8 sweep checks it once.  Each operator keeps one Pascal
+triangle of binomial eigenvalues per degree and grows it one row at a time,
+so a sweep that raises n step by step computes every row once.
 
 Two eigenvalue conventions ship, because they genuinely differ:
 

@@ -14,6 +14,7 @@ from psipascal import (
     check_operator_cauchy,
     classical,
     fibonomial,
+    list_identities,
     operator_from_selector,
     q,
     q_numeric,
@@ -256,6 +257,84 @@ class TestMemoCorruption:
         assert not report.passed
         assert ce.location == (1, 3, 3)
         assert (ce.lhs, ce.rhs) == ("(1 + q^3 + q^6 + q^9)/(1)", "(2 + q^3 + q^6 + q^9)/(1)")
+
+    def test_bumped_triangle_entry_of_a_constant_base(self):
+        # the classical ratio base is 1 at every degree, so the sweep builds
+        # one triangle, at degree 0, and every degree reads it
+        op = operator_from_selector("qhat-paper:classical")
+        assert run_identity("eq8", {"operator": op, **self.SWEEP}).passed
+        assert set(op._rows) == {0}
+        op._rows[0][4][2] = op._rows[0][4][2] + 1
+        report = run_identity("eq8", {"operator": op, **self.SWEEP})
+        ce = report.counterexample
+        assert not report.passed
+        assert ce.location == (2, 2, 0)
+        assert (ce.lhs, ce.rhs) == ("6", "7")
+
+
+EQ8_SWEEP = next(spec for spec in list_identities() if spec.id == "eq8").instances
+
+
+def per_degree_sweep(op, i_max, j_max, m_max):
+    """The reference eq8 sweep: one Cauchy check at every (i, j, m)."""
+    for i in range(i_max + 1):
+        for j in range(j_max + 1):
+            for m in range(m_max + 1):
+                yield check_operator_cauchy(op, i, j, m)
+
+
+def up_to_first_failure(reports):
+    out = []
+    for report in reports:
+        out.append(report)
+        if not report.passed:
+            break
+    return out
+
+
+class TestDistinctBaseSweep:
+    """eq8 checks each (i, j, L(m)) once and reports exactly as the per-degree sweep."""
+
+    BOUNDS = (6, 6, 8)
+    SELECTORS = (
+        "qhat-paper:classical",
+        "qhat-paper:q",
+        "qhat-paper:q=2",
+        "qhat-paper:fibonomial",
+        # ratio bases 1, 1, 1, 1, 2, 1, 2, 3, 1 at degrees 0..8
+        "qhat-paper:custom:1,2,3,4,9,10,21,64,65",
+        "qhat-power:q",
+        "qhat-power:q=0",
+        "qhat-power:q=1",
+        "qhat-power:q=-1",
+        "qhat-power:q=2",
+    )
+
+    def reports(self, new_op, ref_op):
+        new = up_to_first_failure(EQ8_SWEEP(new_op, *self.BOUNDS))
+        ref = up_to_first_failure(per_degree_sweep(ref_op, *self.BOUNDS))
+        return new, ref
+
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_same_reports_as_per_degree(self, selector):
+        new, ref = self.reports(operator_from_selector(selector), operator_from_selector(selector))
+        assert all(report.passed for report in ref)
+        assert new == ref
+
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_same_first_failure_under_a_corrupted_triangle(self, selector):
+        # bump B(4, 2) in the triangle of the last degree whose base is new;
+        # both sweeps first read it as the right side of (2, 2, m)
+        new_op, ref_op = operator_from_selector(selector), operator_from_selector(selector)
+        self.reports(new_op, ref_op)  # a passing sweep on each side builds the triangles
+        bases = [new_op.eigenvalue(m) for m in range(self.BOUNDS[2] + 1)]
+        m = max(d for d, base in enumerate(bases) if base not in bases[:d])
+        for op in (new_op, ref_op):
+            op._rows[m][4][2] = op._rows[m][4][2] + 1
+        new, ref = self.reports(new_op, ref_op)
+        assert not ref[-1].passed
+        assert ref[-1].counterexample.location == (2, 2, m)
+        assert new == ref
 
 
 class TestDiagonalAction:

@@ -15,7 +15,8 @@ so powers of the subdiagonal generator cost in proportion to their single
 nonzero diagonal, and their results are built without re-coercing entries
 that already belong to the result field.  The closed-form Pascal-type
 matrix P[x] is the moment matrix of the powers of x, and the checks share
-one entry comparison and one weighted Vandermonde sum.
+one entry comparison; eq9 and eq10 are the weighted Cauchy sum of the
+sequence's Pascal triangle over its memo binomials.
 """
 
 from __future__ import annotations
@@ -529,17 +530,19 @@ def check_transpose_fermat(seq: AdmissibleSequence, n: int) -> IdentityReport:
 def _weighted_vandermonde(seq: AdmissibleSequence, identity: str, indices: dict, r, s, j):
     """sum_k q^((r-k)(j-k)) binomial(r,k) binomial(s,j-k) against binomial(r+s, j).
 
+    The terms come from the sequence's ratio-rule memo, the right side from
+    its Pascal triangle at q, so the two sides are independent routes; the
+    integers 1 .. r+s are checked first, as the memo would check them.
     ``indices`` names the caller's own indices, in order: they are echoed as
     the report's parameters and form the counterexample's location.
     """
-    base = seq.q_scalar
-    if base is None:
+    triangle = seq.triangle
+    if triangle is None:
         raise ValueError(f"{identity} needs a q-analog sequence, got {seq.selector!r}")
     params = {"sequence": seq.selector, **{k: str(v) for k, v in indices.items()}}
-    lhs = seq.field.zero
-    for k in range(max(0, j - s), min(r, j) + 1):
-        lhs = lhs + (base ** ((r - k) * (j - k))) * seq.binomial(r, k) * seq.binomial(s, j - k)
-    rhs = seq.binomial(r + s, j)
+    seq.check_integers(r + s)
+    lhs = triangle.weighted_cauchy(seq.binomial, r, s, j)
+    rhs = triangle.binomial(r + s, j)
     if lhs != rhs:
         location = tuple(indices.values())
         return failing(identity, params, location, scalar_to_string(lhs), scalar_to_string(rhs))

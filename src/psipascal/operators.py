@@ -6,9 +6,10 @@ therefore diagonal as well, and any identity between them reduces to a
 family of scalar identities, one per degree.  That reduction is what the
 Cauchy check below exploits.  The identity at degree m depends on m only
 through its eigenvalue L(m), so degrees with equal eigenvalues are one
-identity; the eq8 sweep checks it once.  Each operator keeps one Pascal
-triangle of binomial eigenvalues per degree and grows it one row at a time,
-so a sweep that raises n step by step computes every row once.
+identity; the eq8 sweep checks it once.  Each operator keeps one
+``PascalTriangle`` of binomial eigenvalues per distinct eigenvalue, shared
+by every degree with that eigenvalue, and the check is that triangle's
+weighted Cauchy sum, the one eq9 and eq10 use.
 
 Two eigenvalue conventions ship, because they genuinely differ:
 
@@ -27,7 +28,7 @@ from typing import Callable
 
 from .report import IdentityReport, failing, passing
 from .scalars import Scalar, ScalarField, field_of, scalar_to_string
-from .sequences import AdmissibleSequence, from_selector
+from .sequences import AdmissibleSequence, PascalTriangle, from_selector
 
 __all__ = [
     "DiagOperator",
@@ -41,33 +42,30 @@ __all__ = [
 class DiagOperator:
     """An operator acting on x^m as multiplication by the eigenvalue L(m)."""
 
-    def __init__(self, name: str, selector: str, field: ScalarField, eigen_fn: Callable[[int], Scalar]):
-        self.name = name
+    def __init__(self, selector: str, field: ScalarField, eigen_fn: Callable[[int], Scalar]):
         self.selector = selector
         self.field = field
         self._eigen_fn = eigen_fn
-        self._eigs: dict[int, Scalar] = {}
-        self._powers: dict[tuple[int, int], Scalar] = {}
-        self._rows: dict[int, list[list[Scalar]]] = {}  # degree m -> rows 0..n
+        self._triangles: dict[Scalar, PascalTriangle] = {}  # one per distinct eigenvalue
+        self._degrees: dict[int, PascalTriangle] = {}  # degree m -> the triangle at L(m)
+
+    def triangle(self, m: int) -> PascalTriangle:
+        """The Pascal triangle at base L(m), shared by every degree with that eigenvalue."""
+        triangle = self._degrees.get(m)
+        if triangle is None:
+            if m < 0:
+                raise ValueError("degrees are >= 0")
+            base = self.field.coerce(self._eigen_fn(m))
+            triangle = self._degrees[m] = self._triangles.setdefault(base, PascalTriangle(base, self.field))
+        return triangle
 
     def eigenvalue(self, m: int) -> Scalar:
-        if m < 0:
-            raise ValueError("degrees are >= 0")
-        value = self._eigs.get(m)
-        if value is None:
-            value = self.field.coerce(self._eigen_fn(m))
-            self._eigs[m] = value
-        return value
+        """L(m), the base of the triangle at degree m."""
+        return self.triangle(m).base
 
     def eigenvalue_power(self, m: int, e: int) -> Scalar:
-        """L(m)^e, cached; exponents are never negative in the identities here."""
-        if e < 0:
-            raise ValueError("exponents are >= 0")
-        value = self._powers.get((m, e))
-        if value is None:
-            value = self.eigenvalue(m) ** e
-            self._powers[(m, e)] = value
-        return value
+        """L(m)^e, cached by the triangle at degree m."""
+        return self.triangle(m).power(e)
 
     def integer_eigenvalue(self, n: int, m: int) -> Scalar:
         """Eigenvalue on x^m of the operator integer, the geometric sum over L(m).
@@ -89,32 +87,13 @@ class DiagOperator:
         return value
 
     def binomial_eigenvalue(self, n: int, k: int, m: int) -> Scalar:
-        """Eigenvalue on x^m of the operator binomial.
+        """Eigenvalue on x^m of the operator binomial: the Pascal rule at base L(m).
 
-        Computed with the division-free Pascal recurrence at base b = L(m):
-        B(n, k) = B(n-1, k-1) + b^k B(n-1, k), B(n, 0) = 1.  This agrees with
-        the factorial ratio whenever the factorial eigenvalues are nonzero
-        and stays defined when they vanish (roots of unity).  The rows for
-        degree m form one triangle, extended from its last row up to row n
-        on demand.
+        This agrees with the factorial ratio whenever the factorial
+        eigenvalues are nonzero and stays defined when they vanish (roots of
+        unity).
         """
-        if k < 0 or k > n:
-            return self.field.zero
-        rows = self._rows.get(m)
-        if rows is None or len(rows) <= n:
-            # grow a copy and publish it whole: a concurrent caller sees the
-            # old rows or the new ones, never a row appended twice
-            one = self.field.one
-            rows = list(rows or [[one]])
-            while len(rows) <= n:
-                prev = rows[-1]
-                row = [one]
-                for c in range(1, len(prev)):
-                    row.append(prev[c - 1] + self.eigenvalue_power(m, c) * prev[c])
-                row.append(one)
-                rows.append(row)
-            self._rows[m] = rows
-        return rows[n][k]
+        return self.triangle(m).binomial(n, k)
 
     def apply(self, poly):
         """Diagonal action on a polynomial: coefficient at degree m scales by L(m)."""
@@ -139,16 +118,14 @@ def qhat_ratio(seq: AdmissibleSequence) -> DiagOperator:
             return seq.field.one
         return (seq.integer(m + 1) - 1) / seq.integer(m)
 
-    return DiagOperator(
-        f"ratio mutator of {seq.name}", f"qhat-paper:{seq.selector}", seq.field, eigen
-    )
+    return DiagOperator(f"qhat-paper:{seq.selector}", seq.field, eigen)
 
 
 def qhat_power(base) -> DiagOperator:
     """The mutator multiplying x^m by base^m."""
     field = field_of(base)
     selector = "qhat-power:q" if field.symbolic else f"qhat-power:q={scalar_to_string(base)}"
-    return DiagOperator(f"power mutator base {scalar_to_string(base)}", selector, field, lambda m: base ** m)
+    return DiagOperator(selector, field, lambda m: base ** m)
 
 
 def operator_from_selector(text: str) -> DiagOperator:
@@ -171,13 +148,12 @@ def check_operator_cauchy(op: DiagOperator, i: int, j: int, m: int) -> IdentityR
     """Cauchy convolution for operator binomials, evaluated on the monomial x^m.
 
     With b = L(m) the check is
-    sum_k b^((i-k)(j-k)) B(i, k) B(j, k) = B(i+j, j), all at base b.
+    sum_k b^((i-k)(j-k)) B(i, k) B(j, k) = B(i+j, j), all at base b: the
+    weighted Cauchy sum of the triangle at b, at (r, s, j) = (i, j, j).
     """
     params = {"operator": op.selector, "i": str(i), "j": str(j), "m": str(m)}
-    lhs = op.field.zero
-    for k in range(min(i, j) + 1):
-        weight = op.eigenvalue_power(m, (i - k) * (j - k))
-        lhs = lhs + weight * op.binomial_eigenvalue(i, k, m) * op.binomial_eigenvalue(j, k, m)
+    triangle = op.triangle(m)
+    lhs = triangle.weighted_cauchy(triangle.binomial, i, j, j)
     rhs = op.binomial_eigenvalue(i + j, j, m)
     if lhs != rhs:
         return failing("eq8", params, (i, j, m), scalar_to_string(lhs), scalar_to_string(rhs))

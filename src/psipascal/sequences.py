@@ -10,6 +10,16 @@ exact division by the small k_psi, so no factorial is ever divided and
 the factorial memo is a route of its own.  One method, ``binomial_sum``,
 forms the binomial convolution sum_k binomial(n, k) a_k b_(n-k) behind
 the product law, and one helper, ``powers``, every list of powers.
+
+The Gaussian binomials at a base b have a second, independent route: the
+division-free q-Pascal rule B(n, k) = B(n-1, k-1) + b^k B(n-1, k) of a
+``PascalTriangle``.  It stays defined where the ratio rule divides by zero
+(roots of unity).  Each q sequence holds the triangle at its own q; the
+q-hat operators hold one per distinct eigenvalue.  The triangle's
+``weighted_cauchy`` is the one weighted Cauchy sum behind eq8, eq9 and
+eq10; the right side B(r+s, j) of eq9/eq10 is read from the triangle, the
+left side's terms from the ratio-rule memo.
+
 Built-in sequences:
 
 * ``classical``   n            (ordinary integers, over the rationals)
@@ -44,6 +54,7 @@ __all__ = [
     "AdmissibilityError",
     "AdmissibleSequence",
     "NormalityResult",
+    "PascalTriangle",
     "classical",
     "q_symbolic",
     "q_numeric",
@@ -72,6 +83,61 @@ def powers(x, n: int) -> list:
     return out
 
 
+class PascalTriangle:
+    """Gaussian binomials B(n, k) at one base b, by the q-Pascal rule.
+
+    Row n comes from row n-1 as B(n, k) = B(n-1, k-1) + b^k B(n-1, k), with
+    B(n, 0) = B(n, n) = 1: sums and products only, so every b is a valid
+    base.  The powers b^e are cached, and the rows are extended from the
+    last one on demand, so a sweep that raises n step by step computes every
+    row once.
+    """
+
+    def __init__(self, base: Scalar, field: ScalarField):
+        self.base = base
+        self.field = field
+        self._powers: dict[int, Scalar] = {}
+        self._rows: list[list[Scalar]] = [[field.one]]
+
+    def power(self, e: int) -> Scalar:
+        """b^e, cached; exponents are never negative in the identities here."""
+        value = self._powers.get(e)
+        if value is None:
+            value = self._powers[e] = self.base ** e
+        return value
+
+    def binomial(self, n: int, k: int) -> Scalar:
+        """B(n, k); zero outside 0 <= k <= n."""
+        if k < 0 or k > n:
+            return self.field.zero
+        rows = self._rows
+        if len(rows) <= n:
+            # grow a copy and publish it whole: a concurrent caller sees the
+            # old rows or the new ones, never a row appended twice
+            one, rows = self.field.one, list(rows)
+            while len(rows) <= n:
+                prev = rows[-1]
+                row = [one]
+                for c in range(1, len(prev)):
+                    row.append(prev[c - 1] + self.power(c) * prev[c])
+                row.append(one)
+                rows.append(row)
+            self._rows = rows
+        return rows[n][k]
+
+    def weighted_cauchy(self, binomial: Callable, r: int, s: int, j: int) -> Scalar:
+        """sum_k b^((r-k)(j-k)) binomial(r, k) binomial(s, s-j+k), k = max(0, j-s) .. min(r, j).
+
+        Terms are added in ascending k, starting from zero.  The second factor
+        is binomial(s, j-k) by symmetry, read from the other end: at s = j it
+        is binomial(j, k), so the sum at r = 1 is not the Pascal rule itself.
+        """
+        total = self.field.zero
+        for k in range(max(0, j - s), min(r, j) + 1):
+            total = total + self.power((r - k) * (j - k)) * binomial(r, k) * binomial(s, s - j + k)
+        return total
+
+
 class AdmissibleSequence:
     """Generalized integers n_psi plus the factorials and binomials they induce."""
 
@@ -88,6 +154,8 @@ class AdmissibleSequence:
         self.field = field
         self.selector = selector
         self.q_scalar = q_scalar
+        # the q-Pascal rule at the sequence's own q, a route apart from the memo
+        self.triangle = None if q_scalar is None else PascalTriangle(q_scalar, field)
         self._int_fn = int_fn
         self._ints: dict[int, Scalar] = {}
         self._facts: dict[int, Scalar] = {0: field.one}
@@ -109,6 +177,16 @@ class AdmissibleSequence:
             self._ints[n] = value
         return value
 
+    def check_integers(self, n: int):
+        """Check the integers 1 .. n in ascending order, each once per sequence.
+
+        A vanishing integer is reported at the smallest n, as the factorials
+        report it.
+        """
+        for m in range(self._checked + 1, n + 1):
+            self.integer(m)
+            self._checked = m
+
     def factorial(self, n: int) -> Scalar:
         """Product of the generalized integers n, n-1, ..., 1; one for n = 0."""
         if n < 0:
@@ -129,9 +207,8 @@ class AdmissibleSequence:
         Built by the ratio rule binomial(r+s, s) = binomial(r+s-1, s-1) *
         (r+s)_psi / s_psi: the walk goes down the diagonal of fixed r to the
         nearest cached entry (or to binomial(r, 0) = 1), then back up,
-        caching each step.  The integers 1 .. n are first checked in
-        ascending order, so a vanishing one is reported at the smallest n,
-        as the factorials report it.
+        caching each step.  The integers 1 .. n are first checked by
+        ``check_integers``.
         """
         if k < 0 or k > n:
             return self.field.zero
@@ -141,9 +218,7 @@ class AdmissibleSequence:
             return value
         # every cached entry has its integers checked: the walk caches
         # entries of rows up to n only
-        for m in range(self._checked + 1, n + 1):
-            self.integer(m)
-            self._checked = m
+        self.check_integers(n)
         r, binoms, ints, t = n - s, self._binoms, self._ints, s
         while t and (r + t, t) not in binoms:
             t -= 1

@@ -257,6 +257,9 @@ ERRORS += [
     )
 ] + [
     (["check", "eq8", "-s", "qhat-paper:q=-1"], _Q_MINUS_ONE),
+    # the right side of eq9/eq10 comes from the Pascal triangle, which is
+    # defined at q = -1; the integers are checked before the comparison
+    (["check", "eq10", "-s", "q=-1", "--i", "1", "--j", "1"], _Q_MINUS_ONE),
     (["seq", "-s", "q=-1", "-n", "4"], _Q_MINUS_ONE),
     (["gen", "fermat", "-s", "q=-1", "-n", "4"], _Q_MINUS_ONE),
 ]

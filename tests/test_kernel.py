@@ -761,11 +761,34 @@ def _lead_bumped(pmul):
     return faulty
 
 
+def _tail_off_by_one(padd):
+    def faulty(a, b):
+        # the longer operand's tail is kept from len(b) + 1, not len(b)
+        if len(a) < len(b):
+            a, b = b, a
+        return scalars._ptrim(tuple(map(add, a, b)) + a[len(b) + 1 :])
+
+    return faulty
+
+
+def _width_short(pmul_packed):
+    def faulty(a, b):
+        # _pmul_packed with a slot one byte narrower than its bound needs
+        bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+        width = bound.bit_length() // 8
+        packed = scalars._pack(a, width) * scalars._pack(b, width)
+        return scalars._unpack(packed, len(a) + len(b) - 1, width)
+
+    return faulty
+
+
 # fault -> (kernel name in scalars, the faulty version made from the original)
 KERNEL_FAULTS = {
     "pgcd-is-one": ("_pgcd", lambda original: lambda a, b: (1,)),
     "gcd-is-one": ("gcd", lambda original: lambda *args: 1),
     "pmul-bumps-lead": ("_pmul", _lead_bumped),
+    "padd-off-by-one": ("_padd", _tail_off_by_one),
+    "pack-width-short": ("_pmul_packed", _width_short),
 }
 
 # faults that no must-pass entry of the suite sees, with the reason
@@ -775,6 +798,10 @@ BLIND_SPOTS = {
     # (1,) is the right answer everywhere the suite asks;
     # TestPairArithmetic::test_products_that_need_a_polynomial_gcd sees it
     "pgcd-is-one": "every polynomial gcd the suite asks for is 1",
+    # no product of the quick suite has two operands dense enough to pack
+    # (the full one makes 434); TestPackedProduct and test_matmul.py's
+    # TestBothPaths::test_coefficients_at_the_width_bound see it
+    "pack-width-short": "the quick suite makes no packed product",
 }
 
 

@@ -22,6 +22,7 @@ from psipascal import (
     classical,
     fermat,
     fibonomial,
+    from_selector,
     k_matrix,
     matmul,
     matrix_document,
@@ -33,6 +34,7 @@ from psipascal import (
     q_numeric,
     q_symbolic,
     run_identity,
+    scalar_to_string,
 )
 
 from oracles import comb, fib
@@ -434,17 +436,34 @@ class TestCorruptedMemo:
         return seq
 
     def test_bumped_binomial_fails_eq9_at_the_smallest_index(self):
-        # r, s, j are swept in lexicographic order: (1, 3, 2) is the first
-        # triple whose right side reads binomial(4, 2) and whose left does not
+        # r, s, j are swept in lexicographic order; the right side comes from
+        # the Pascal triangle, so (0, 4, 2), whose left side is the memo entry
+        # binomial(4, 2) itself, is the first triple that reads it
         report = run_identity("eq9", {"sequence": self.bumped_binomial(), "n": 5})
         ce = report.counterexample
         assert not report.passed
         assert report.params == {"sequence": "q=2", "n": "5"}
-        assert str(ce) == "at (1, 3, 2): lhs=35 rhs=36 [instance sequence=q=2 r=1 s=3 j=2]"
+        assert str(ce) == "at (0, 4, 2): lhs=36 rhs=35 [instance sequence=q=2 r=0 s=4 j=2]"
 
     def test_bumped_binomial_fails_eq10_at_the_smallest_index(self):
+        # (2, 2) reads binomial(4, 2) only on its right side, which is the
+        # triangle's; (2, 4) is the first pair whose left side reads the memo entry
         report = run_identity("eq10", {"sequence": self.bumped_binomial(), "i": 4, "j": 4})
         ce = report.counterexample
         assert not report.passed
         assert report.params == {"sequence": "q=2", "i": "4", "j": "4"}
-        assert str(ce) == "at (2, 2): lhs=35 rhs=36 [instance sequence=q=2 i=2 j=2]"
+        assert str(ce) == "at (2, 4): lhs=652 rhs=651 [instance sequence=q=2 i=2 j=4]"
+
+    @pytest.mark.parametrize("selector", ["q=2", "q"])
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 8) for k in range(1, n // 2 + 1)])
+    def test_every_bumped_binomial_fails_eq9_at_r_zero(self, selector, n, k):
+        # at r = 0 the left side is the memo entry binomial(s, j) alone and the
+        # right side the triangle's, so the sweep stops at (0, n, k)
+        seq = from_selector(selector)
+        for row in range(8):
+            seq.binomial_row(row)
+        true = seq._binoms[(n, k)]
+        seq._binoms[(n, k)] = true + 1
+        ce = run_identity("eq9", {"sequence": seq, "n": 7}).counterexample
+        assert ce is not None
+        assert (ce.location, ce.lhs, ce.rhs) == ((0, n, k), scalar_to_string(true + 1), scalar_to_string(true))

@@ -158,7 +158,7 @@ queries = st.lists(
 
 
 class TestTriangleOrderIndependence:
-    """Each degree keeps one triangle grown on demand; the order of queries must not matter."""
+    """Each base keeps one triangle grown on demand; the order of queries must not matter."""
 
     @given(
         st.sampled_from([None, Fraction(2), Fraction(-1, 2), Fraction(0)]),
@@ -185,15 +185,16 @@ def _q_binomial_at(n, k, q0):
 
 
 class TestConcurrentGrowth:
-    def test_threads_growing_one_triangle_agree_with_the_oracle(self):
-        size, degrees = 30, (1, 2, 3)
+    SIZE, DEGREES = 30, (1, 2, 3)
+
+    def grow_concurrently(self, op, base_at):
+        """Six threads ask for B(n, k) at each degree; returns the wrong answers."""
         expected = {
-            (n, k, m): _q_binomial_at(n, k, 2**m)
-            for m in degrees
-            for n in range(size)
+            (n, k, m): _q_binomial_at(n, k, base_at(m))
+            for m in self.DEGREES
+            for n in range(self.SIZE)
             for k in (0, n // 2, n)
         }
-        op = qhat_power(Fraction(2))
         wrong = []
 
         def ask():
@@ -212,9 +213,21 @@ class TestConcurrentGrowth:
         finally:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
-        assert wrong == []
-        for m in degrees:
-            assert [len(row) for row in op._rows[m]] == list(range(1, size + 1))
+        for m in self.DEGREES:
+            assert [len(row) for row in op.triangle(m)._rows] == list(range(1, self.SIZE + 1))
+        return wrong
+
+    def test_threads_growing_one_triangle_agree_with_the_oracle(self):
+        # the bases 2^m are distinct, so each degree grew a triangle of its own
+        op = qhat_power(Fraction(2))
+        assert self.grow_concurrently(op, lambda m: 2**m) == []
+        assert len(op._triangles) == len(self.DEGREES)
+
+    def test_threads_growing_a_shared_triangle_agree_with_the_oracle(self):
+        # the ratio base of q=2 is 2 at every degree m >= 1: one triangle
+        op = qhat_ratio(q_numeric(2))
+        assert self.grow_concurrently(op, lambda m: 2) == []
+        assert list(op._triangles) == [2]
 
 
 class TestMemoCorruption:
@@ -230,7 +243,8 @@ class TestMemoCorruption:
     def test_bumped_triangle_entry(self):
         # B(4, 2) at degree 2 is first read as the right side B(i+j, j) of (2, 2, 2)
         op = self.built()
-        op._rows[2][4][2] = op._rows[2][4][2] + 1
+        rows = op.triangle(2)._rows
+        rows[4][2] = rows[4][2] + 1
         report = run_identity("eq8", {"operator": op, **self.SWEEP})
         ce = report.counterexample
         assert not report.passed
@@ -241,7 +255,8 @@ class TestMemoCorruption:
     def test_bumped_power_in_a_weight(self):
         # L(3)^2 is first read as the weight b^((i-k)(j-k)) of (1, 2, 3), k = 0
         op = self.built()
-        op._powers[(3, 2)] = op._powers[(3, 2)] + 1
+        powers = op.triangle(3)._powers
+        powers[2] = powers[2] + 1
         report = run_identity("eq8", {"operator": op, **self.SWEEP})
         ce = report.counterexample
         assert not report.passed
@@ -251,7 +266,7 @@ class TestMemoCorruption:
     def test_bumped_power_feeding_the_triangle(self):
         # corrupted before any row is built, L(3)^2 also enters B(n, 2) at degree 3
         op = operator_from_selector("qhat-power:q")
-        op._powers[(3, 2)] = op.eigenvalue_power(3, 2) + 1
+        op.triangle(3)._powers[2] = op.eigenvalue_power(3, 2) + 1
         report = run_identity("eq8", {"operator": op, **self.SWEEP})
         ce = report.counterexample
         assert not report.passed
@@ -263,13 +278,31 @@ class TestMemoCorruption:
         # one triangle, at degree 0, and every degree reads it
         op = operator_from_selector("qhat-paper:classical")
         assert run_identity("eq8", {"operator": op, **self.SWEEP}).passed
-        assert set(op._rows) == {0}
-        op._rows[0][4][2] = op._rows[0][4][2] + 1
+        assert list(op._triangles) == [1]
+        rows = op.triangle(0)._rows
+        rows[4][2] = rows[4][2] + 1
         report = run_identity("eq8", {"operator": op, **self.SWEEP})
         ce = report.counterexample
         assert not report.passed
         assert ce.location == (2, 2, 0)
         assert (ce.lhs, ce.rhs) == ("6", "7")
+
+
+class TestSharedTriangles:
+    """Degrees with equal eigenvalues share one triangle, keyed by the eigenvalue."""
+
+    FULL = {"i": 8, "j": 8, "m": 10}
+
+    @pytest.mark.parametrize(
+        "selector, bases",
+        [("qhat-paper:classical", [1]), ("qhat-paper:q", [1, q]), ("qhat-paper:q=2", [1, 2])],
+    )
+    def test_a_full_eq8_run_builds_one_triangle_per_base(self, selector, bases):
+        # ratio bases: L(0) = 1, and L(m >= 1) = 1 (classical) or q (q, q=r)
+        op = operator_from_selector(selector)
+        assert run_identity("eq8", {"operator": op, **self.FULL}).passed
+        assert list(op._triangles) == bases
+        assert all(op.triangle(m) is op._triangles[bases[-1]] for m in range(1, self.FULL["m"] + 1))
 
 
 EQ8_SWEEP = next(spec for spec in list_identities() if spec.id == "eq8").instances
@@ -330,7 +363,8 @@ class TestDistinctBaseSweep:
         bases = [new_op.eigenvalue(m) for m in range(self.BOUNDS[2] + 1)]
         m = max(d for d, base in enumerate(bases) if base not in bases[:d])
         for op in (new_op, ref_op):
-            op._rows[m][4][2] = op._rows[m][4][2] + 1
+            rows = op.triangle(m)._rows
+            rows[4][2] = rows[4][2] + 1
         new, ref = self.reports(new_op, ref_op)
         assert not ref[-1].passed
         assert ref[-1].counterexample.location == (2, 2, m)

@@ -14,6 +14,7 @@ from psipascal import (
     custom,
     fibonomial,
     from_selector,
+    operator_from_selector,
     q,
     q_numeric,
     psi_plus_power,
@@ -327,6 +328,9 @@ class TestCustomAndSelectors:
 
 # points that are not roots of unity, so no q-integer vanishes there
 SPECIAL_POINTS = (Fraction(2), Fraction(3), Fraction(-1, 2), Fraction(5, 3))
+# the Pascal triangle needs no admissible sequence, so it is also compared
+# at the root of unity -1, and at 0
+TRIANGLE_POINTS = SPECIAL_POINTS + (Fraction(-1), Fraction(0))
 SPECIAL_N = 12
 
 
@@ -369,3 +373,27 @@ class TestSpecialisation:
         for x, y in ((Fraction(-547, 811), Fraction(601, 743)), (Fraction(3, 2), Fraction(-7, 5))):
             for n in range(SPECIAL_N + 1):
                 assert psi_plus_power(seq, x, y, n).eval_at(r) == psi_plus_power(target, x, y, n)
+
+    @pytest.mark.parametrize("r", TRIANGLE_POINTS, ids=str)
+    def test_power_operator_binomials(self, r):
+        # base q^m at each degree against base r^m; at r = 0 every degree
+        # m >= 1 shares the triangle of base 0
+        symbolic, numeric = operator_from_selector("qhat-power:q"), operator_from_selector(f"qhat-power:q={r}")
+        for m in range(5):
+            for n in range(11):
+                for k in range(n + 1):
+                    value = symbolic.binomial_eigenvalue(n, k, m)
+                    assert value.eval_at(r) == numeric.binomial_eigenvalue(n, k, m), (n, k, m)
+
+    @pytest.mark.parametrize("r", TRIANGLE_POINTS, ids=str)
+    def test_pascal_triangle(self, r):
+        # the triangle needs no admissibility: q=-1 has a vanishing integer
+        # 2_psi, yet its triangle is defined
+        seq = from_selector(f"q={r}")
+        symbolic, numeric = q_symbolic().triangle, seq.triangle
+        for n in range(11):
+            for k in range(n + 1):
+                assert symbolic.binomial(n, k).eval_at(r) == numeric.binomial(n, k), (n, k)
+        if r == -1:
+            with pytest.raises(AdmissibilityError, match="n = 2 is zero"):
+                seq.check_integers(10)

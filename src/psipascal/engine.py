@@ -196,7 +196,7 @@ def _resolve(spec: IdentitySpec, params: dict) -> tuple[list, dict]:
             value = _selector_param(params, key)
             text = value.selector
             # identities stated only for the q families need the sequence's q
-            if spec.families == _Q_FAMILIES and value.q_scalar is None:
+            if spec.families == _Q_FAMILIES and value.triangle is None:
                 raise InvalidParamsError(f"{spec.id} needs a q-analog sequence, got {text!r}")
         elif key in _DEFAULT_SCALARS:
             value = _scalar_param(params, key, values[0])

@@ -136,9 +136,9 @@ def operator_from_selector(text: str) -> DiagOperator:
     if selector.startswith("qhat-power:"):
         rest = selector[len("qhat-power:") :]
         seq = from_selector(rest)
-        if seq.q_scalar is None:
+        if seq.triangle is None:
             raise ValueError(f"operator selector {text!r} needs a q base, got {rest!r}")
-        return qhat_power(seq.q_scalar)
+        return qhat_power(seq.triangle.base)
     raise ValueError(
         f"unknown operator selector {text!r}; expected 'qhat-paper:<sequence>' or 'qhat-power:q[=r]'"
     )

@@ -153,8 +153,8 @@ class AdmissibleSequence:
         self.name = name
         self.field = field
         self.selector = selector
-        self.q_scalar = q_scalar
-        # the q-Pascal rule at the sequence's own q, a route apart from the memo
+        # the q-Pascal rule at the sequence's own q, a route apart from the
+        # memo; None for sequences without a q
         self.triangle = None if q_scalar is None else PascalTriangle(q_scalar, field)
         self._int_fn = int_fn
         self._ints: dict[int, Scalar] = {}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from psipascal import (
     Polynomial,
+    operators,
     check_operator_cauchy,
     classical,
     fibonomial,
@@ -230,6 +231,20 @@ class TestConcurrentGrowth:
         assert list(op._triangles) == [2]
 
 
+def checked_degrees(monkeypatch, op, sweep):
+    """Run eq8 and return the degree m of every instance the sweep really checks."""
+    degrees, check = [], operators.check_operator_cauchy
+
+    def recording(op, i, j, m):
+        degrees.append(m)
+        return check(op, i, j, m)
+
+    monkeypatch.setattr(operators, "check_operator_cauchy", recording)
+    assert run_identity("eq8", {"operator": op, **sweep}).passed
+    monkeypatch.undo()
+    return degrees
+
+
 class TestMemoCorruption:
     """A corrupted operator memo must make eq8 fail at the first index that reads it."""
 
@@ -273,11 +288,11 @@ class TestMemoCorruption:
         assert ce.location == (1, 3, 3)
         assert (ce.lhs, ce.rhs) == ("(1 + q^3 + q^6 + q^9)/(1)", "(2 + q^3 + q^6 + q^9)/(1)")
 
-    def test_bumped_triangle_entry_of_a_constant_base(self):
-        # the classical ratio base is 1 at every degree, so the sweep builds
-        # one triangle, at degree 0, and every degree reads it
+    def test_bumped_triangle_entry_of_a_constant_base(self, monkeypatch):
+        # the classical ratio base is 1 at every degree, so the sweep checks
+        # degree 0 only, and every degree reads its one triangle
         op = operator_from_selector("qhat-paper:classical")
-        assert run_identity("eq8", {"operator": op, **self.SWEEP}).passed
+        assert set(checked_degrees(monkeypatch, op, self.SWEEP)) == {0}
         assert list(op._triangles) == [1]
         rows = op.triangle(0)._rows
         rows[4][2] = rows[4][2] + 1
@@ -297,10 +312,12 @@ class TestSharedTriangles:
         "selector, bases",
         [("qhat-paper:classical", [1]), ("qhat-paper:q", [1, q]), ("qhat-paper:q=2", [1, 2])],
     )
-    def test_a_full_eq8_run_builds_one_triangle_per_base(self, selector, bases):
-        # ratio bases: L(0) = 1, and L(m >= 1) = 1 (classical) or q (q, q=r)
+    def test_a_full_eq8_run_builds_one_triangle_per_base(self, monkeypatch, selector, bases):
+        # ratio bases: L(0) = 1, and L(m >= 1) = 1 (classical) or q (q, q=r);
+        # the sweep checks each (i, j) once per base, at its first degree
         op = operator_from_selector(selector)
-        assert run_identity("eq8", {"operator": op, **self.FULL}).passed
+        pairs = (self.FULL["i"] + 1) * (self.FULL["j"] + 1)
+        assert checked_degrees(monkeypatch, op, self.FULL) == list(range(len(bases))) * pairs
         assert list(op._triangles) == bases
         assert all(op.triangle(m) is op._triangles[bases[-1]] for m in range(1, self.FULL["m"] + 1))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .report import IdentityReport, failing, passing
-from .scalars import Scalar, ScalarField, field_of, scalar_to_string
+from .scalars import Scalar, ScalarField, ScalarParseError, field_of, scalar_to_string
 from .sequences import AdmissibleSequence, PascalTriangle, from_selector
 
 __all__ = [
@@ -131,17 +131,21 @@ def qhat_power(base) -> DiagOperator:
 def operator_from_selector(text: str) -> DiagOperator:
     """Selectors: "qhat-paper:<sequence selector>", "qhat-power:q", "qhat-power:q=<rational>"."""
     selector = text.strip()
-    if selector.startswith("qhat-paper:"):
-        return qhat_ratio(from_selector(selector[len("qhat-paper:") :]))
-    if selector.startswith("qhat-power:"):
-        rest = selector[len("qhat-power:") :]
+    kind, colon, rest = selector.partition(":")
+    if kind + colon not in ("qhat-paper:", "qhat-power:"):
+        raise ValueError(
+            f"unknown operator selector {text!r}; expected 'qhat-paper:<sequence>' or 'qhat-power:q[=r]'"
+        )
+    try:
         seq = from_selector(rest)
-        if seq.triangle is None:
-            raise ValueError(f"operator selector {text!r} needs a q base, got {rest!r}")
-        return qhat_power(seq.triangle.base)
-    raise ValueError(
-        f"unknown operator selector {text!r}; expected 'qhat-paper:<sequence>' or 'qhat-power:q[=r]'"
-    )
+    except ScalarParseError as exc:
+        # the offset counts from the selector's first character
+        raise ScalarParseError(exc.message, len(selector) - len(rest.lstrip()) + exc.position) from None
+    if kind == "qhat-paper":
+        return qhat_ratio(seq)
+    if seq.triangle is None:
+        raise ValueError(f"operator selector {text!r} needs a q base, got {rest!r}")
+    return qhat_power(seq.triangle.base)
 
 
 def check_operator_cauchy(op: DiagOperator, i: int, j: int, m: int) -> IdentityReport:

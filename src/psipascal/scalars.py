@@ -77,6 +77,12 @@ class PoleError(ZeroDivisionError):
 # coefficients are the public constructor's input, cleared there with one
 # lcm, and the monic form the public accessors derive.  Products of operands
 # with enough dense terms are one big-int product (Kronecker substitution).
+# A sum of shifted products q^d a b (the weighted Cauchy sums of sequences.py
+# at a unit-monomial base, which _unit_weighted_sum recognises) is added into
+# one coefficient list, the accumulator step of sparse polynomial
+# arithmetic: _paccumulate adds each packed product at its offset and runs
+# the schoolbook loop of any other pair at shifted indices, so no shifted
+# factor, product or partial sum is built.
 # Every result is reduced by one gcd step, _cancel: an integer gcd where one
 # side is a constant, one exact division where the primitive part of the
 # denominator divides the numerator, and otherwise the contents' gcd times
@@ -142,12 +148,35 @@ def _pmul_school(a: tuple, b: tuple) -> tuple:
     if len(b) == 1:
         return _pscale(a, b[0])
     out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, b[j]) for j in compress(range(len(b)), b)]
+    _pmul_into(out, a, b, 0)
+    return tuple(out)
+
+
+def _pmul_into(out: list, a: tuple, b: tuple, d: int) -> None:
+    """Add q^d a b into the coefficient list ``out``, one term product at a time."""
+    terms = [(j + d, b[j]) for j in compress(range(len(b)), b)]
     for i in compress(range(len(a)), a):
         ca = a[i]
         for j, cb in terms:
             out[i + j] += ca * cb
-    return tuple(out)
+
+
+def _paccumulate(terms: list) -> tuple:
+    """The sum of q^d a b over the (d, a, b) of ``terms`` (not empty), added into one list.
+
+    A pair of operands dense enough to pack (``_dense``, as ``_pmul``
+    decides) is one packed product added at offset d; any other pair runs
+    the schoolbook loop at indices shifted by d.  No shifted factor, product
+    or partial sum is built, and the result is trimmed once.
+    """
+    out = [0] * max([d + len(a) + len(b) for d, a, b in terms])
+    for d, a, b in terms:
+        if _dense(a) and _dense(b):
+            for i, c in enumerate(_pmul_packed(a, b), d):
+                out[i] += c
+        else:
+            _pmul_into(out, a, b, d)
+    return _ptrim(out)
 
 
 def _pack(a: tuple, width: int) -> int:
@@ -619,6 +648,23 @@ def _sum(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> RationalFunction:
         return RationalFunction._make((), (1,))
     g2 = gcd(g, *s)
     return RationalFunction._make(_pdivi(s, g2), ((da // g) * db // g2,))
+
+
+def _unit_weighted_sum(terms: list) -> Optional[RationalFunction]:
+    """The sum of w a c over the (w, a, c) of ``terms`` by _paccumulate, or None where it does not apply.
+
+    It applies when ``terms`` is not empty, every w is a unit monomial q^d
+    and every value has denominator 1.  The numerators are then added into
+    one list, and the result is the canonical pair that the term-by-term sum
+    of the same values builds.
+    """
+    shifted = []
+    for w, a, c in terms:
+        n = w._num
+        if not (w._den == a._den == c._den == (1,) and n.count(0) + 1 == len(n) and n[-1] == 1):
+            return None
+        shifted.append((len(n) - 1, a._num, c._num))
+    return RationalFunction._make(_paccumulate(shifted), (1,)) if shifted else None
 
 
 q = RationalFunction.generator()

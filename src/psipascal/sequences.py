@@ -18,7 +18,11 @@ division-free q-Pascal rule B(n, k) = B(n-1, k-1) + b^k B(n-1, k) of a
 q-hat operators hold one per distinct eigenvalue.  The triangle's
 ``weighted_cauchy`` is the one weighted Cauchy sum behind eq8, eq9 and
 eq10; the right side B(r+s, j) of eq9/eq10 is read from the triangle, the
-left side's terms from the ratio-rule memo.
+left side's terms from the ratio-rule memo.  At a base q^m of Q(q) every
+weight is a unit monomial, so the sum is accumulated in one coefficient
+list (``scalars._paccumulate``) instead of building a shifted term, a
+product and a partial sum per k; any other base, or a weight that is not a
+unit monomial, takes the term-by-term loop.
 
 Built-in sequences:
 
@@ -44,6 +48,7 @@ from .scalars import (
     Scalar,
     ScalarField,
     ScalarParseError,
+    _unit_weighted_sum,
     infer_field,
     parse_rational,
     parse_scalar,
@@ -128,13 +133,26 @@ class PascalTriangle:
     def weighted_cauchy(self, binomial: Callable, r: int, s: int, j: int) -> Scalar:
         """sum_k b^((r-k)(j-k)) binomial(r, k) binomial(s, s-j+k), k = max(0, j-s) .. min(r, j).
 
-        Terms are added in ascending k, starting from zero.  The second factor
-        is binomial(s, j-k) by symmetry, read from the other end: at s = j it
-        is binomial(j, k), so the sum at r = 1 is not the Pascal rule itself.
+        The second factor is binomial(s, j-k) by symmetry, read from the other
+        end: at s = j it is binomial(j, k), so the sum at r = 1 is not the
+        Pascal rule itself.
+
+        Over Q(q), when every weight read from the ``power`` memo is a unit
+        monomial q^d and every factor has denominator 1, the terms are added
+        into one coefficient list (``scalars._unit_weighted_sum``, which
+        calls ``scalars._paccumulate``).  Otherwise (a base in Q, a
+        rational-function eigenvalue, a corrupted weight) the terms are added
+        in ascending k, starting from zero.  Both routes give the same
+        canonical value; the weight is read from the memo, not derived from
+        the base, so a corrupted power is seen either way.
         """
-        total = self.field.zero
-        for k in range(max(0, j - s), min(r, j) + 1):
-            total = total + self.power((r - k) * (j - k)) * binomial(r, k) * binomial(s, s - j + k)
+        terms = [
+            (self.power((r - k) * (j - k)), binomial(r, k), binomial(s, s - j + k))
+            for k in range(max(0, j - s), min(r, j) + 1)
+        ]
+        total = _unit_weighted_sum(terms) if self.field.symbolic else None
+        if total is None:
+            total = sum((weight * a * c for weight, a, c in terms), self.field.zero)
         return total
 
 
@@ -359,7 +377,11 @@ def from_selector(text: str) -> AdmissibleSequence:
     if selector == "q":
         return q_symbolic()
     if selector.startswith("q="):
-        return q_numeric(parse_rational(selector[2:]))
+        try:
+            return q_numeric(parse_rational(selector[2:]))
+        except ScalarParseError as exc:
+            # the offset counts from the selector's first character
+            raise ScalarParseError(exc.message, 2 + exc.position) from None
     if selector == "fibonomial":
         return fibonomial()
     if selector.startswith("custom:"):

@@ -211,6 +211,13 @@ ERRORS = [
         ["seq", "-s", "custom:1,(1)/(2 + q^100001)", "-n", "2"],
         "custom sequence entry 2: exponent of q above 100000 (offset 20)",
     ),
+    # so does the offset in a q=<rational> selector and in an operator selector
+    (["seq", "-s", "q=2/0", "-n", "2"], "zero denominator (offset 4)"),
+    (["check", "eq8", "-s", "qhat-power:q=2/0"], "zero denominator (offset 15)"),
+    (
+        ["check", "eq8", "-s", "qhat-paper:custom:1,2/0"],
+        "custom sequence entry 2: zero denominator (offset 22)",
+    ),
     # a digit run above scalars.MAX_DIGITS is refused before int() sees it
     (
         ["check", "semigroup", "-s", "classical", "-n", "2", "--x", "1" * 5000],

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from psipascal import scalars
 from psipascal.engine import MUST_PASS, run_suite
 from psipascal.scalars import (
+    RATIONAL_FIELD,
+    RATIONAL_FUNCTION_FIELD,
     _PACK_CUTOFF,
     _UNDECIDED,
     RationalFunction,
@@ -32,6 +34,7 @@ from psipascal.scalars import (
     _ppow,
     _unpack,
 )
+from psipascal.sequences import PascalTriangle
 
 from oracles import poly_add, poly_mul, reduce_pair
 
@@ -749,6 +752,186 @@ class TestPackedExactDivision:
 
 
 # ---------------------------------------------------------------------------
+# weighted Cauchy sums in one accumulator
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def strided_polys(draw):
+    """Sparse integer polynomial: nonzero coefficients only at multiples of a stride 2..14."""
+    stride = draw(st.integers(min_value=2, max_value=14))
+    body = draw(st.lists(coeffs, min_size=0, max_size=2 * _PACK_CUTOFF))
+    lead = draw(coeffs.filter(bool))
+    cs = [0] * (stride * len(body) + 1)
+    cs[::stride] = body + [lead]
+    return tuple(cs)
+
+
+# dense enough to pack: every coefficient nonzero, at least _PACK_CUTOFF of them
+dense_polys = int_polys(
+    elements=coeffs.filter(bool), size=st.integers(min_value=_PACK_CUTOFF, max_value=3 * _PACK_CUTOFF)
+)
+factors = st.one_of(strided_polys(), dense_polys, int_polys(), st.just(()))
+shifted_terms = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=4 * _PACK_CUTOFF), factors, factors), min_size=1, max_size=5
+)
+
+
+def oracle_shifted_sum(terms):
+    """sum of q^d a b by oracles.poly_mul and poly_add, as the kernel's ints."""
+    total = []
+    for d, a, b in terms:
+        total = poly_add(total, poly_mul(_monomial(d), poly_mul(a, b)))
+    return _ints(total)
+
+
+def term_by_term(terms):
+    """The canonical pair of sum of q^d a b, added term by term as RationalFunctions."""
+    total = RF(0)
+    for d, a, b in terms:
+        total = total + RF.generator() ** d * RF.from_coefficients(a) * RF.from_coefficients(b)
+    return total._num, total._den
+
+
+class TestAccumulator:
+    """``_paccumulate`` against the oracle and the term-by-term RationalFunction loop."""
+
+    @given(shifted_terms)
+    @settings(deadline=None, max_examples=150)
+    def test_equals_the_oracle_and_the_term_by_term_loop(self, terms):
+        out = scalars._paccumulate(terms)
+        assert out == oracle_shifted_sum(terms)
+        assert (out, (1,)) == term_by_term(terms)
+        assert all(type(c) is int for c in out)
+
+    @given(st.lists(st.tuples(st.integers(0, 1), dense_polys, dense_polys), min_size=1, max_size=3))
+    @settings(deadline=None, max_examples=60)
+    def test_dense_pairs_take_the_packed_product(self, terms):
+        with mock.patch.object(scalars, "_pmul_packed", wraps=scalars._pmul_packed) as packed:
+            out = scalars._paccumulate(terms)
+        assert packed.call_count == len(terms)
+        assert out == oracle_shifted_sum(terms) == term_by_term(terms)[0]
+
+    @given(st.lists(st.tuples(st.integers(0, 1), strided_polys(), strided_polys()), min_size=1, max_size=3))
+    @settings(deadline=None, max_examples=60)
+    def test_strided_pairs_pack_only_where_pmul_would(self, terms):
+        # a stride of 3 or more leaves too many zeros to pack; a stride of 2
+        # packs when the zeros are at most half of the slots, as in _pmul
+        with mock.patch.object(scalars, "_pmul_packed", wraps=scalars._pmul_packed) as packed:
+            out = scalars._paccumulate(terms)
+        assert packed.call_count == sum(_dense(a) and _dense(b) for _, a, b in terms)
+        assert out == oracle_shifted_sum(terms) == term_by_term(terms)[0]
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_zero_operands(self, d):
+        a = (3, 0, -1)
+        assert scalars._paccumulate([(d, (), a)]) == ()
+        assert scalars._paccumulate([(d, a, ())]) == ()
+        assert scalars._paccumulate([(d, (), ()), (d, a, (2,))]) == (0,) * d + (6, 0, -2)
+        # terms that cancel leave the zero polynomial, trimmed
+        assert scalars._paccumulate([(d, a, (1,)), (d, a, (-1,))]) == ()
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_offsets(self, d):
+        a = tuple(range(1, _PACK_CUTOFF + 1))
+        terms = [(d, a, a), (d + 1, (1, 0, 1), (0, 2))]
+        assert scalars._paccumulate(terms) == oracle_shifted_sum(terms) == term_by_term(terms)[0]
+        assert scalars._paccumulate(terms)[:d] == (0,) * d
+
+
+def triangle_term_by_term(triangle, binomial, r, s, j):
+    """The weighted Cauchy sum of ``PascalTriangle.weighted_cauchy``, one term at a time."""
+    total = triangle.field.zero
+    for k in range(max(0, j - s), min(r, j) + 1):
+        total = total + triangle.power((r - k) * (j - k)) * binomial(r, k) * binomial(s, s - j + k)
+    return total
+
+
+WEIGHTED_CAUCHY_INDICES = [(r, s, j) for r in range(5) for s in range(5) for j in range(r + s + 1)]
+
+
+def sums_that_read(predicate):
+    """How many sums of WEIGHTED_CAUCHY_INDICES have a term (r, s, j, k) that satisfies predicate."""
+    return sum(
+        any(predicate(r, s, j, k) for k in range(max(0, j - s), min(r, j) + 1))
+        for r, s, j in WEIGHTED_CAUCHY_INDICES
+    )
+
+
+class TestWeightedCauchyRoute:
+    """``PascalTriangle.weighted_cauchy`` uses the accumulator only at a unit-monomial base over Q(q)."""
+
+    @staticmethod
+    def run(triangle, binomial):
+        """Every sum of WEIGHTED_CAUCHY_INDICES, and how many went through the accumulator."""
+        with mock.patch.object(scalars, "_paccumulate", wraps=scalars._paccumulate) as spy:
+            sums = [triangle.weighted_cauchy(binomial, *index) for index in WEIGHTED_CAUCHY_INDICES]
+        expected = [triangle_term_by_term(triangle, binomial, *index) for index in WEIGHTED_CAUCHY_INDICES]
+        for value, want in zip(sums, expected):
+            assert type(value) is type(want)
+            assert value == want
+            if isinstance(want, RF):
+                assert (value._num, value._den) == (want._num, want._den)
+        return spy.call_count
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_unit_monomial_bases_take_the_accumulator(self, m):
+        triangle = PascalTriangle(RF.generator() ** m, RATIONAL_FUNCTION_FIELD)
+        assert self.run(triangle, triangle.binomial) == len(WEIGHTED_CAUCHY_INDICES)
+
+    @pytest.mark.parametrize(
+        "base",
+        [Fraction(2), Fraction(-1, 3)],
+        ids=["2", "-1/3"],
+    )
+    def test_rational_bases_take_the_loop(self, base):
+        triangle = PascalTriangle(base, RATIONAL_FIELD)
+        assert self.run(triangle, triangle.binomial) == 0
+
+    @pytest.mark.parametrize(
+        "base, leaves_the_route",
+        [
+            # b^0 = 1 = q^0, so a sum stays on the route when all its weights are b^0
+            (RF.from_coefficients((1, 1)), lambda r, s, j, k: (r - k) * (j - k) > 0),
+            (2 * RF.generator(), lambda r, s, j, k: (r - k) * (j - k) > 0),
+            # the even powers of -q are unit monomials
+            (-RF.generator(), lambda r, s, j, k: (r - k) * (j - k) % 2),
+            # and at 1/(1+q) only B(n, 0) = B(n, n) = 1 are polynomials
+            (RF((1,), (1, 1)), lambda r, s, j, k: (r - k) * (j - k) or 0 < k < r or 0 < s - j + k < s),
+        ],
+        ids=["1+q", "2q", "-q", "1/(1+q)"],
+    )
+    def test_other_symbolic_bases_take_the_loop(self, base, leaves_the_route):
+        triangle = PascalTriangle(base, RATIONAL_FUNCTION_FIELD)
+        reads = sums_that_read(leaves_the_route)
+        assert 0 < reads < len(WEIGHTED_CAUCHY_INDICES)
+        assert self.run(triangle, triangle.binomial) == len(WEIGHTED_CAUCHY_INDICES) - reads
+
+    def test_a_weight_that_is_not_a_unit_monomial_takes_the_loop(self):
+        triangle = PascalTriangle(RF.generator(), RATIONAL_FUNCTION_FIELD)
+        triangle.binomial(8, 0)
+        triangle._powers[2] = triangle.power(2) + 1
+        # every sum that reads the weight q^2 falls back; the others stay on the route
+        reads = sums_that_read(lambda r, s, j, k: (r - k) * (j - k) == 2)
+        assert 0 < reads < len(WEIGHTED_CAUCHY_INDICES)
+        assert self.run(triangle, triangle.binomial) == len(WEIGHTED_CAUCHY_INDICES) - reads
+
+    def test_an_operand_with_a_proper_denominator_takes_the_loop(self):
+        triangle = PascalTriangle(RF.generator(), RATIONAL_FUNCTION_FIELD)
+        over = RF((1,), (2, 1))
+
+        def binomial(n, k):
+            # B(2, 1) = 1 + q over 2 + q: a factor that is not a polynomial
+            value = triangle.binomial(n, k)
+            return value * over if (n, k) == (2, 1) else value
+
+        assert binomial(2, 1)._den == (2, 1)
+        reads = sums_that_read(lambda r, s, j, k: (2, 1) in ((r, k), (s, s - j + k)))
+        assert 0 < reads < len(WEIGHTED_CAUCHY_INDICES)
+        assert self.run(triangle, binomial) == len(WEIGHTED_CAUCHY_INDICES) - reads
+
+
+# ---------------------------------------------------------------------------
 # kernel faults against the quick suite
 # ---------------------------------------------------------------------------
 
@@ -782,6 +965,14 @@ def _width_short(pmul_packed):
     return faulty
 
 
+def _last_term_dropped(paccumulate):
+    def faulty(terms):
+        # the weighted Cauchy sum without its largest k
+        return paccumulate(terms[:-1]) if len(terms) > 1 else ()
+
+    return faulty
+
+
 # fault -> (kernel name in scalars, the faulty version made from the original)
 KERNEL_FAULTS = {
     "pgcd-is-one": ("_pgcd", lambda original: lambda a, b: (1,)),
@@ -789,6 +980,7 @@ KERNEL_FAULTS = {
     "pmul-bumps-lead": ("_pmul", _lead_bumped),
     "padd-off-by-one": ("_padd", _tail_off_by_one),
     "pack-width-short": ("_pmul_packed", _width_short),
+    "accumulator-drops-last-term": ("_paccumulate", _last_term_dropped),
 }
 
 # faults that no must-pass entry of the suite sees, with the reason

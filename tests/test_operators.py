@@ -278,6 +278,20 @@ class TestMemoCorruption:
         assert ce.location == (1, 2, 3)
         assert (ce.lhs, ce.rhs) == ("(2 + q^3 + q^6)/(1)", "(1 + q^3 + q^6)/(1)")
 
+    def test_bumped_power_in_an_eq9_weight(self):
+        # eq9 on q reads its weights from the triangle at q; after a warm-up
+        # has built every row, q^2 is first read as the weight of (1, 2, 2),
+        # k = 0, so the bumped memo entry makes that instance fail there
+        seq = q_symbolic()
+        assert run_identity("eq9", {"sequence": seq, "n": 5}).passed
+        powers = seq.triangle._powers
+        powers[2] = powers[2] + 1
+        report = run_identity("eq9", {"sequence": seq, "n": 5})
+        ce = report.counterexample
+        assert not report.passed
+        assert ce.location == (1, 2, 2)
+        assert (ce.lhs, ce.rhs) == ("(2 + q + q^2)/(1)", "(1 + q + q^2)/(1)")
+
     def test_bumped_power_feeding_the_triangle(self):
         # corrupted before any row is built, L(3)^2 also enters B(n, 2) at degree 3
         op = operator_from_selector("qhat-power:q")

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from . import matrices, operators, polynomials
 from .report import Counterexample, IdentityReport, passing
-from .scalars import MAX_Q_EXPONENT, RationalFunction, scalar_to_string
+from .scalars import MAX_Q_EXPONENT, RATIONAL_FIELD, RationalFunction, scalar_to_string
 from .sequences import AdmissibleSequence, from_selector
 
 __all__ = [
@@ -126,8 +126,9 @@ _SELECTORS = {
 }
 
 # default generic scalar arguments for checks that need points
-_DEFAULT_SCALARS = {"x": Fraction(2), "y": Fraction(-1, 2)}
-_DEFAULT_POINTS = (Fraction(1), Fraction(2), Fraction(-3, 2))
+# (integral values as int, as the rational field holds them)
+_DEFAULT_SCALARS = {"x": 2, "y": Fraction(-1, 2)}
+_DEFAULT_POINTS = (1, 2, Fraction(-3, 2))
 
 
 def _selector_param(params: dict, key: str):
@@ -178,8 +179,11 @@ def check_point_degree(name: str, value, n: int, power: int) -> None:
 
 def _scalar_param(params: dict, key: str, seq: AdmissibleSequence):
     value = params.get(key)
-    if value is None or isinstance(value, (int, Fraction, RationalFunction)):
+    if value is None or isinstance(value, RationalFunction):
         return value
+    # a bool is an int to Python but no scalar here, as in _int_param
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return RATIONAL_FIELD.coerce(value)
     if isinstance(value, str):
         try:
             return seq.field.parse(value)

@@ -32,6 +32,7 @@ from .scalars import (
     RationalFunction,
     Scalar,
     ScalarField,
+    divide,
     field_of,
     infer_field,
     scalar_to_latex,
@@ -339,7 +340,7 @@ def psi_exp_nilpotent(seq: AdmissibleSequence, matrix: LowerTriMatrix, x) -> Low
         power = matmul(power, matrix)
         if power.is_zero:
             break
-        acc = acc + power.scale(x_powers[k] / seq.factorial(k))
+        acc = acc + power.scale(divide(x_powers[k], seq.factorial(k)))
     return acc
 
 

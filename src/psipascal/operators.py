@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .report import IdentityReport, failing, passing
-from .scalars import Scalar, ScalarField, ScalarParseError, field_of, scalar_to_string
+from .scalars import Scalar, ScalarField, ScalarParseError, divide, field_of, scalar_to_string
 from .sequences import AdmissibleSequence, PascalTriangle, from_selector
 
 __all__ = [
@@ -116,7 +116,7 @@ def qhat_ratio(seq: AdmissibleSequence) -> DiagOperator:
     def eigen(m: int) -> Scalar:
         if m == 0:
             return seq.field.one
-        return (seq.integer(m + 1) - 1) / seq.integer(m)
+        return divide(seq.integer(m + 1) - 1, seq.integer(m))
 
     return DiagOperator(f"qhat-paper:{seq.selector}", seq.field, eigen)
 

@@ -16,6 +16,7 @@ from .scalars import (
     RATIONAL_FIELD,
     Scalar,
     ScalarField,
+    divide,
     infer_field,
     scalar_to_string,
 )
@@ -151,7 +152,7 @@ def psi_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
     y_powers = powers(y, p.degree + 1)
     for k in range(1, p.degree + 1):
         derivative = psi_derivative(seq, derivative)
-        result = result + derivative.scale(y_powers[k] / seq.factorial(k))
+        result = result + derivative.scale(divide(y_powers[k], seq.factorial(k)))
     return result
 
 

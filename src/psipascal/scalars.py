@@ -2,8 +2,13 @@
 
 There are exactly two domains:
 
-* rationals, represented by stdlib ``fractions.Fraction`` (already reduced,
-  positive denominator, zero is 0/1), and
+* rationals, represented by a Python ``int`` or a stdlib
+  ``fractions.Fraction`` (already reduced, positive denominator); the
+  field's own operations (``zero``, ``one``, ``coerce``, parsing and
+  :func:`divide`, the one exact division) give an ``int`` exactly when the
+  value is integral, an arithmetic result of ``Fraction`` operands that
+  happens to be integral stays a ``Fraction``, and the two forms of one
+  value compare and hash alike, and
 * rational functions in one indeterminate ``q`` over the rationals,
   represented by :class:`RationalFunction`.
 
@@ -49,6 +54,7 @@ __all__ = [
     "parse_rational",
     "parse_rational_function",
     "parse_scalar",
+    "divide",
 ]
 
 
@@ -405,7 +411,7 @@ def _over(cs: tuple, d: int) -> tuple:
     """cs / d, with integral values as int and the others as Fraction."""
     if d == 1:
         return cs
-    return tuple([Fraction(c, d) if c % d else c // d for c in cs])
+    return tuple([divide(c, d) for c in cs])
 
 
 class RationalFunction:
@@ -669,7 +675,25 @@ def _unit_weighted_sum(terms: list) -> Optional[RationalFunction]:
 
 q = RationalFunction.generator()
 
-Scalar = Union[Fraction, RationalFunction]
+Scalar = Union[int, Fraction, RationalFunction]
+
+
+def divide(a, b) -> Scalar:
+    """The exact quotient a / b of two scalars of either field.
+
+    Over Q an integral quotient is an ``int`` and any other a ``Fraction``,
+    never a ``float``: two ints divide by ``divmod``, and a ``Fraction``
+    quotient with denominator 1 gives its numerator.  A ``RationalFunction``
+    operand divides over Q(q).  The operand types choose the route, so a
+    Q(q) point divides by a Q factorial.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        quotient, remainder = divmod(a, b)
+        return Fraction(a, b) if remainder else quotient
+    out = a / b
+    if type(out) is Fraction and out.denominator == 1:
+        return out.numerator
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -688,22 +712,24 @@ class ScalarField:
 
     @property
     def zero(self) -> Scalar:
-        return RationalFunction._make((), (1,)) if self.symbolic else Fraction(0)
+        return RationalFunction._make((), (1,)) if self.symbolic else 0
 
     @property
     def one(self) -> Scalar:
-        return RationalFunction._make((1,), (1,)) if self.symbolic else Fraction(1)
+        return RationalFunction._make((1,), (1,)) if self.symbolic else 1
 
     def coerce(self, value) -> Scalar:
+        """``value`` in this field; over Q an integral value is an ``int``, any other a ``Fraction``."""
         if self.symbolic:
             out = RationalFunction._coerce(value)
             if out is None:
                 raise FieldMismatchError(f"cannot coerce {value!r} into {self.name}")
             return out
         if isinstance(value, int):
-            return Fraction(value)
+            # int() of an int is the value itself, of a bool 0 or 1
+            return int(value)
         if isinstance(value, Fraction):
-            return value
+            return value.numerator if value.denominator == 1 else value
         raise FieldMismatchError(f"cannot coerce {value!r} into {self.name}")
 
     def parse(self, text: str) -> Scalar:
@@ -808,7 +834,7 @@ class _Cursor:
         return int(self.text[start : self.pos])
 
 
-def _parse_unsigned_rational(cur: _Cursor) -> Fraction:
+def _parse_unsigned_rational(cur: _Cursor) -> Union[int, Fraction]:
     num = cur.take_uint("digits")
     if cur.peek() == "/":
         cur.pos += 1
@@ -816,12 +842,15 @@ def _parse_unsigned_rational(cur: _Cursor) -> Fraction:
         den = cur.take_uint("digits after '/'")
         if den == 0:
             raise ScalarParseError("zero denominator", dpos)
-        return Fraction(num, den)
-    return Fraction(num)
+        return divide(num, den)
+    return num
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the rational grammar: optional '-', digits, optional '/' digits."""
+def parse_rational(text: str) -> Union[int, Fraction]:
+    """Parse the rational grammar: optional '-', digits, optional '/' digits.
+
+    An integral value is returned as an ``int``, any other as a ``Fraction``.
+    """
     cur = _Cursor(text)
     negative = cur.peek() == "-"
     if negative:
@@ -845,7 +874,7 @@ def _parse_q_exponent(cur: _Cursor) -> int:
 
 
 def _parse_poly_body(cur: _Cursor) -> list:
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, Union[int, Fraction]] = {}
     sign = 1
     cur.skip_spaces()
     if cur.peek() == "-":
@@ -854,7 +883,7 @@ def _parse_poly_body(cur: _Cursor) -> list:
     while True:
         cur.skip_spaces()
         if cur.peek() == "q":
-            mag = Fraction(1)
+            mag = 1
             exponent = _parse_q_exponent(cur)
         else:
             mag = _parse_unsigned_rational(cur)
@@ -863,7 +892,7 @@ def _parse_poly_body(cur: _Cursor) -> list:
                 exponent = _parse_q_exponent(cur)
             else:
                 exponent = 0
-        coeffs[exponent] = coeffs.get(exponent, Fraction(0)) + sign * mag
+        coeffs[exponent] = coeffs.get(exponent, 0) + sign * mag
         cur.skip_spaces()
         nxt = cur.peek()
         if nxt == "+":
@@ -873,7 +902,7 @@ def _parse_poly_body(cur: _Cursor) -> list:
         else:
             break
         cur.pos += 1
-    out = [Fraction(0)] * (max(coeffs) + 1)
+    out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
     return out

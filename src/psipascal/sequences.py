@@ -6,8 +6,9 @@ integers exactly as in the classical case, with the empty product equal
 to one.  The binomials are not factorial quotients: each comes from its
 neighbour on the diagonal by the ratio rule
 binomial(n, k) = binomial(n-1, k-1) * n_psi / k_psi, one product and one
-exact division by the small k_psi, so no factorial is ever divided and
-the factorial memo is a route of its own.  One method, ``binomial_sum``,
+exact division by the small k_psi (``scalars.divide``, which keeps an
+integral quotient an ``int``), so no factorial is ever divided and the
+factorial memo is a route of its own.  One method, ``binomial_sum``,
 forms the binomial convolution sum_k binomial(n, k) a_k b_(n-k) behind
 the product law, and one helper, ``powers``, every list of powers.
 
@@ -49,6 +50,7 @@ from .scalars import (
     ScalarField,
     ScalarParseError,
     _unit_weighted_sum,
+    divide,
     infer_field,
     parse_rational,
     parse_scalar,
@@ -223,10 +225,10 @@ class AdmissibleSequence:
         """Generalized binomial; zero outside 0 <= k <= n, symmetric in k and n-k.
 
         Built by the ratio rule binomial(r+s, s) = binomial(r+s-1, s-1) *
-        (r+s)_psi / s_psi: the walk goes down the diagonal of fixed r to the
-        nearest cached entry (or to binomial(r, 0) = 1), then back up,
-        caching each step.  The integers 1 .. n are first checked by
-        ``check_integers``.
+        (r+s)_psi / s_psi, divided by the one exact ``scalars.divide``: the
+        walk goes down the diagonal of fixed r to the nearest cached entry
+        (or to binomial(r, 0) = 1), then back up, caching each step.  The
+        integers 1 .. n are first checked by ``check_integers``.
         """
         if k < 0 or k > n:
             return self.field.zero
@@ -242,7 +244,7 @@ class AdmissibleSequence:
             t -= 1
         value = binoms[(r + t, t)] if t else self.field.one
         for t in range(t + 1, s + 1):
-            value = value * ints[r + t] / ints[t]
+            value = divide(value * ints[r + t], ints[t])
             binoms[(r + t, t)] = value
         return value
 
@@ -285,7 +287,7 @@ def classical() -> AdmissibleSequence:
     return AdmissibleSequence(
         "classical",
         RATIONAL_FIELD,
-        lambda n: Fraction(n),
+        lambda n: n,
         selector="classical",
     )
 
@@ -305,14 +307,15 @@ def q_numeric(q0) -> AdmissibleSequence:
     """q-analog integers with q specialized to a rational number.
 
     The integer is computed as the geometric sum, so q0 = 1 simply gives the
-    classical values.  Roots of unity make some integer vanish; that is
+    classical values; an integral q0 is held as an ``int``, so its integers
+    are ints too.  Roots of unity make some integer vanish; that is
     reported as an admissibility error on first use.
     """
-    q0 = Fraction(q0)
+    q0 = RATIONAL_FIELD.coerce(Fraction(q0))
     return AdmissibleSequence(
         f"q={q0}",
         RATIONAL_FIELD,
-        lambda n: sum(powers(q0, n), Fraction(0)),
+        lambda n: sum(powers(q0, n)),
         selector=f"q={q0}",
         q_scalar=q0,
     )
@@ -330,7 +333,7 @@ def fibonomial() -> AdmissibleSequence:
     return AdmissibleSequence(
         "fibonomial",
         RATIONAL_FIELD,
-        lambda n: Fraction(_fibonacci(n)),
+        _fibonacci,
         selector="fibonomial",
     )
 

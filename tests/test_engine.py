@@ -1,6 +1,7 @@
 """The identity registry, the runner, and the suite."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from psipascal import (
     InvalidParamsError,
     UnknownIdentityError,
     custom,
+    fibonomial,
     list_identities,
     run_identity,
     run_suite,
@@ -147,6 +149,20 @@ class TestRunIdentity:
         assert report.passed
         assert " ".join(f"{k}={v}" for k, v in report.params.items()).endswith(echo)
 
+    @pytest.mark.parametrize("key", ["x", "y"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_point_is_refused(self, key, value):
+        params = {"sequence": "classical", "n": 4, "x": 2, "y": 3, key: value}
+        with pytest.raises(InvalidParamsError, match=f"parameter '{key}' must be a scalar, got {value}"):
+            run_identity("semigroup", params)
+
+    def test_integral_points_are_held_as_ints(self):
+        report = run_identity("semigroup", {"sequence": "classical", "n": 4, "x": Fraction(4, 2), "y": 3})
+        assert report.passed
+        assert (report.params["x"], report.params["y"]) == ("2", "3")
+        resolved, _ = engine._resolve(engine._BY_ID["semigroup"], {"sequence": "classical", "x": Fraction(4, 2)})
+        assert [type(v) for v in resolved[2:]] == [int, Fraction]
+
     def test_reports_are_reproducible(self):
         first = run_identity("eq6", {"sequence": "fibonomial", "n": 4})
         second = run_identity("eq6", {"sequence": "fibonomial", "n": 4})
@@ -268,6 +284,22 @@ class TestMutation:
         seq = custom([1, 1, 2, 3, 5, 8, 13, 21])
         report = run_identity("exp-vs-closed", {"sequence": seq, "n": 6, "x": "1"})
         assert report.passed
+
+
+class TestShiftRouteMemoFault:
+    """A corrupted factorial memo that only eq11-basic's shift route reads.
+
+    The shift exp_psi(y D) divides by k_psi!, read from the factorial memo;
+    the binomials come from the ratio rule and never read it.
+    """
+
+    def test_doubled_factorial_fails_the_shift_route(self):
+        seq = fibonomial()
+        seq.factorial(10)  # warm the memo, then corrupt one entry
+        seq._facts[3] = seq._facts[3] * 2
+        report = run_identity("eq11-basic", {"sequence": seq, "n": 8})
+        assert not report.passed
+        assert str(report.counterexample) == "at (3): lhs=39/8 rhs=79/16 [shift route]"
 
 
 class TestPointDegreeBudget:

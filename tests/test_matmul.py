@@ -121,10 +121,11 @@ def assert_well_formed(result, lower, field):
     assert result.field is field
     n = result.size
     assert [len(row) for row in result.rows] == [i + 1 if lower else n for i in range(n)]
-    entry_type = Fraction if field is RATIONAL_FIELD else RationalFunction
-    assert all(type(v) is entry_type for row in result.rows for v in row)
+    # over Q an entry is an int or a Fraction, over Q(q) a RationalFunction
+    entry_types = (int, Fraction) if field is RATIONAL_FIELD else (RationalFunction,)
+    assert all(type(v) in entry_types for row in result.rows for v in row)
     assert result._rows == [{j: v for j, v in enumerate(row) if v} for row in result.rows]
-    assert all(type(v) is entry_type and v for row in result._rows for v in row.values())
+    assert all(type(v) in entry_types and v for row in result._rows for v in row.values())
 
 
 class TestProduct:

@@ -1,14 +1,14 @@
 """psipascal: exact Pascal-type matrices over admissible integer sequences.
 
 The library builds the subdiagonal generator K, its nilpotent generalized
-exponential P[x], the symmetric binomial (Fermat) matrix and moment
-matrices over any admissible sequence of nonzero generalized integers
-(classical, symbolic or numeric q-analogs, Fibonacci, or custom), entirely
-in exact arithmetic, and mechanically verifies or refutes the identity
-families those matrices generate.
+exponential P[x] and the symmetric binomial (Fermat) matrix over any
+admissible sequence of nonzero generalized integers (classical, symbolic
+or numeric q-analogs, Fibonacci, or custom), entirely in exact
+arithmetic, and mechanically verifies or refutes the identity families
+those matrices generate.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .scalars import (
     RATIONAL_FIELD,
@@ -55,7 +55,6 @@ from .operators import (
     qhat_ratio,
 )
 from .matrices import (
-    GeneralizedPascal,
     LowerTriMatrix,
     MatrixDocument,
     SquareMatrix,

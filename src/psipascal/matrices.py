@@ -1,5 +1,6 @@
 """Exact matrix layer: subdiagonal generators, Pascal-type and symmetric
-binomial matrices, moment matrices, products, and the matrix-level checks.
+binomial matrices, products, the moment convolution, and the matrix-level
+checks.
 
 One storage format holds every matrix: each row is a dict from column to
 nonzero entry, over one of the two field domains, with rationals promoting
@@ -46,7 +47,6 @@ from .sequences import AdmissibleSequence, powers
 __all__ = [
     "LowerTriMatrix",
     "SquareMatrix",
-    "GeneralizedPascal",
     "k_matrix",
     "psi_exp_nilpotent",
     "pascal_closed",
@@ -347,11 +347,15 @@ def psi_exp_nilpotent(seq: AdmissibleSequence, matrix: LowerTriMatrix, x) -> Low
 def pascal_closed(seq: AdmissibleSequence, n: int, x) -> LowerTriMatrix:
     """The Pascal-type matrix in closed form: entry (i, j) = x^(i-j) binomial(i, j).
 
-    It is the moment matrix of the powers 1, x, x^2, ..., x^(n-1).
+    It is the moment matrix of the powers 1, x, x^2, ..., x^(n-1), over the
+    field of its entries: a point in Q(q) widens a rational sequence.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    return _moment_matrix(seq, powers(x, n))
+    moments = powers(x, n)
+    return LowerTriMatrix(
+        [[seq.binomial(i, j) * moments[i - j] for j in range(i + 1)] for i in range(n)]
+    )
 
 
 def fermat(seq: AdmissibleSequence, n: int) -> SquareMatrix:
@@ -364,15 +368,8 @@ def fermat(seq: AdmissibleSequence, n: int) -> SquareMatrix:
 
 
 # ---------------------------------------------------------------------------
-# moment matrices: the closure of the Pascal family under products
+# the product law: binomial convolution of moments
 # ---------------------------------------------------------------------------
-
-
-def _moment_matrix(seq: AdmissibleSequence, moments: Sequence) -> LowerTriMatrix:
-    """Entry (i, j) = binomial(i, j) * moments[i-j], over the field of its entries."""
-    return LowerTriMatrix(
-        [[seq.binomial(i, j) * moments[i - j] for j in range(i + 1)] for i in range(len(moments))]
-    )
 
 
 def binom_convolve(seq: AdmissibleSequence, a: Sequence, b: Sequence) -> tuple:
@@ -381,58 +378,6 @@ def binom_convolve(seq: AdmissibleSequence, a: Sequence, b: Sequence) -> tuple:
         raise ValueError(f"moment lists differ in length: {len(a)} vs {len(b)}")
     return tuple([seq.binomial_sum(m, a, b) for m in range(len(a))])
 
-
-class GeneralizedPascal:
-    """Moment matrix: entry (i, j) = binomial(i, j) * a_(i-j), with a_0 = 1.
-
-    Products of Pascal-type matrices P[x] leave the one-parameter family for
-    sequences that are not normal; moment matrices are the closed algebra
-    containing them.  The product law is binomial convolution of moments,
-    commutative with identity (1, 0, 0, ...) and with triangular-solve
-    inverses, so these matrices form an abelian group.
-    """
-
-    __slots__ = ("seq", "moments")
-
-    def __init__(self, seq: AdmissibleSequence, moments: Sequence):
-        values = tuple(moments)
-        field = seq.field.join(infer_field(values))
-        values = tuple(field.coerce(m) for m in values)
-        if not values:
-            raise ValueError("at least one moment is required")
-        if values[0] != 1:
-            raise ValueError("the leading moment must be 1")
-        self.seq = seq
-        self.moments = values
-
-    @classmethod
-    def from_scalar_powers(cls, seq: AdmissibleSequence, x, n: int) -> "GeneralizedPascal":
-        """The moment matrix of P[x]: moments 1, x, x^2, ..., x^(n-1)."""
-        return cls(seq, powers(x, n))
-
-    def matrix(self) -> LowerTriMatrix:
-        return _moment_matrix(self.seq, self.moments)
-
-    def product(self, other: "GeneralizedPascal") -> "GeneralizedPascal":
-        if self.seq.selector != other.seq.selector:
-            raise ValueError("moment matrices over different sequences cannot be multiplied")
-        return GeneralizedPascal(self.seq, binom_convolve(self.seq, self.moments, other.moments))
-
-    def inverse(self) -> "GeneralizedPascal":
-        """Moments of the inverse matrix, by triangular solve against (1, 0, 0, ...)."""
-        inv = [self.seq.field.one]
-        for m in range(1, len(self.moments)):
-            inv.append(-self.seq.binomial_sum(m, inv + [0], self.moments))
-        return GeneralizedPascal(self.seq, inv)
-
-    def __eq__(self, other):
-        if not isinstance(other, GeneralizedPascal):
-            return NotImplemented
-        return self.seq.selector == other.seq.selector and self.moments == other.moments
-
-    def __repr__(self):
-        shown = ", ".join(scalar_to_string(m) for m in self.moments[:4])
-        return f"<GeneralizedPascal {self.seq.selector!r} moments ({shown}, ...)>"
 
 
 # ---------------------------------------------------------------------------

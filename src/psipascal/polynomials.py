@@ -51,10 +51,6 @@ class Polynomial:
         return cls((), field)
 
     @classmethod
-    def one(cls, field: ScalarField = RATIONAL_FIELD) -> "Polynomial":
-        return cls((1,), field)
-
-    @classmethod
     def monomial(cls, degree: int, field: ScalarField = RATIONAL_FIELD, coefficient=1) -> "Polynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
@@ -108,9 +104,6 @@ class Polynomial:
         if len(self._coeffs) != len(other._coeffs):
             return False
         return all(a == b for a, b in zip(self._coeffs, other._coeffs))
-
-    def __hash__(self):
-        return hash(self._coeffs)
 
     def __str__(self):
         if not self._coeffs:

@@ -553,9 +553,6 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction._make(_pneg(self._num), self._den)
 
-    def __pos__(self):
-        return self
-
     def __bool__(self):
         return bool(self._num)
 

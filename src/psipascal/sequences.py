@@ -39,7 +39,6 @@ integer nonzero) is checked lazily on first access and fails loudly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .scalars import (
@@ -308,10 +307,12 @@ def q_numeric(q0) -> AdmissibleSequence:
 
     The integer is computed as the geometric sum, so q0 = 1 simply gives the
     classical values; an integral q0 is held as an ``int``, so its integers
-    are ints too.  Roots of unity make some integer vanish; that is
-    reported as an admissibility error on first use.
+    are ints too.  Anything else the rational field refuses, such as a
+    float or a string, raises ``FieldMismatchError``.  Roots of unity make
+    some integer vanish; that is reported as an admissibility error on
+    first use.
     """
-    q0 = RATIONAL_FIELD.coerce(Fraction(q0))
+    q0 = RATIONAL_FIELD.coerce(q0)
     return AdmissibleSequence(
         f"q={q0}",
         RATIONAL_FIELD,

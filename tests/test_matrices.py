@@ -1,4 +1,4 @@
-"""Matrix layer: generators, Pascal-type matrices, products, moment algebra,
+"""Matrix layer: generators, Pascal-type matrices, products, moment convolution,
 serialization, and the matrix-level identity checks."""
 
 import random
@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from psipascal import (
-    GeneralizedPascal,
     LowerTriMatrix,
     MatrixDocument,
     SquareMatrix,
@@ -305,52 +304,6 @@ class TestMomentAlgebra:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             binom_convolve(classical(), (1, 2), (1,))
-
-    def test_moment_matrix_of_powers_is_pascal(self):
-        for seq in all_sequences():
-            gp = GeneralizedPascal.from_scalar_powers(seq, Fraction(3), 6)
-            assert gp.matrix() == pascal_closed(seq, 6, Fraction(3))
-
-    def test_rational_function_moments_over_a_rational_sequence(self):
-        # the moments widen the field as pascal_closed does, instead of
-        # being forced into the sequence's field
-        x = (1 - 2 * q) / (4 + 6 * q)
-        gp = GeneralizedPascal.from_scalar_powers(classical(), q, 3)
-        assert gp.moments == (1, q, q * q)
-        assert GeneralizedPascal(classical(), (q ** k for k in range(3))) == gp
-        assert gp.matrix() == pascal_closed(classical(), 3, q)
-        gx = GeneralizedPascal.from_scalar_powers(classical(), x, 5)
-        assert gp.product(gp.inverse()).moments == (1, 0, 0)
-        assert gx.product(gx.inverse()).matrix() == LowerTriMatrix.identity(5)
-        assert gx.product(GeneralizedPascal(classical(), [1, 2, 3, 4, 5])).matrix() == matmul(
-            gx.matrix(), GeneralizedPascal(classical(), [1, 2, 3, 4, 5]).matrix()
-        )
-
-    def test_product_agrees_with_matmul(self):
-        rng = random.Random(_RNG_SEED)
-        for seq in all_sequences():
-            a = GeneralizedPascal(seq, [1] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(11)])
-            b = GeneralizedPascal(seq, [1] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(11)])
-            assert a.product(b).matrix() == matmul(a.matrix(), b.matrix())
-            assert a.product(b) == b.product(a)
-
-    def test_inverse(self):
-        rng = random.Random(_RNG_SEED + 1)
-        identity = (Fraction(1),) + (Fraction(0),) * 11
-        for seq in all_sequences():
-            a = GeneralizedPascal(seq, [1] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(11)])
-            assert a.product(a.inverse()).moments == identity
-            assert matmul(a.matrix(), a.inverse().matrix()) == LowerTriMatrix.identity(12)
-
-    def test_leading_moment_must_be_one(self):
-        with pytest.raises(ValueError):
-            GeneralizedPascal(classical(), [2, 1])
-
-    def test_cross_sequence_product_is_rejected(self):
-        a = GeneralizedPascal(classical(), [1, 2])
-        b = GeneralizedPascal(fibonomial(), [1, 2])
-        with pytest.raises(ValueError):
-            a.product(b)
 
 
 class TestSerialization:

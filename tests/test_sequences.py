@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from psipascal import (
     AdmissibilityError,
+    FieldMismatchError,
     RationalFunction,
     classical,
     custom,
@@ -312,6 +313,16 @@ class TestCustomAndSelectors:
     def test_q_zero_is_admissible(self):
         seq = from_selector("q=0")
         assert [seq.integer(n) for n in range(1, 6)] == [1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("q0", [0.1, "1/2"])
+    def test_q_numeric_refuses_what_the_rational_field_refuses(self, q0):
+        # a float would otherwise run at its binary value, 0.1 at
+        # 3602879701896397/36028797018963968
+        with pytest.raises(FieldMismatchError):
+            q_numeric(q0)
+
+    def test_integral_q_numeric_is_named_by_its_int(self):
+        assert q_numeric(Fraction(4, 2)).selector == "q=2"
 
     def test_q_one_matches_classical(self):
         seq = q_numeric(1)

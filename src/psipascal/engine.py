@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from . import matrices, operators, polynomials
 from .report import Counterexample, IdentityReport, passing
-from .scalars import MAX_Q_EXPONENT, RATIONAL_FIELD, RationalFunction, scalar_to_string
+from .scalars import MAX_Q_EXPONENT, RATIONAL_FIELD, RATIONAL_FUNCTION_FIELD, RationalFunction, scalar_to_string
 from .sequences import AdmissibleSequence, from_selector
 
 __all__ = [
@@ -146,16 +146,19 @@ def _selector_param(params: dict, key: str):
     raise InvalidParamsError(f"{key!r} must be a selector string, got {value!r}")
 
 
-def _int_param(params: dict, key: str, default: int, minimum: int, caps: tuple, field) -> int:
+def _int_param(params: dict, key: str, default: int, minimum: int) -> int:
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParamsError(f"parameter {key!r} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidParamsError(f"parameter {key!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_cap(key: str, value: int, caps: tuple, field):
     cap = caps[field.symbolic]
     if value > cap:
         raise InvalidParamsError(f"parameter {key!r} must be <= {cap} over {field.name}, got {value}")
-    return value
 
 
 # Budget for a Q(q) point at size n: its degree times the largest power
@@ -204,7 +207,10 @@ def _resolve(spec: IdentitySpec, params: dict) -> tuple[list, dict]:
                 raise InvalidParamsError(f"{spec.id} needs a q-analog sequence, got {text!r}")
         elif key in _DEFAULT_SCALARS:
             value = _scalar_param(params, key, values[0])
-            # n comes second in every schema with points
+            # n comes second in every schema with points; a Q(q) point makes
+            # the run's arithmetic Q(q), so n takes the Q(q) cap
+            if isinstance(value, RationalFunction):
+                _check_cap("n", values[1], spec.caps["n"], RATIONAL_FUNCTION_FIELD)
             check_point_degree(key, value, values[1], spec.point_power(values[1]))
             if spec.points:
                 # a list of points, echoed under the row's own name
@@ -216,7 +222,8 @@ def _resolve(spec: IdentitySpec, params: dict) -> tuple[list, dict]:
                 text = scalar_to_string(value)
         else:
             minimum = spec.n_min if key == "n" else 0
-            value = _int_param(params, key, spec.quick[key], minimum, spec.caps[key], values[0].field)
+            value = _int_param(params, key, spec.quick[key], minimum)
+            _check_cap(key, value, spec.caps[key], values[0].field)
             text = str(value)
         values.append(value)
         echo[key] = text

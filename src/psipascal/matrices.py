@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-from .report import IdentityReport, failing, passing
+from .report import IdentityReport, failing, first_difference
 from .scalars import (
     RATIONAL_FIELD,
     RationalFunction,
@@ -385,26 +385,23 @@ def binom_convolve(seq: AdmissibleSequence, a: Sequence, b: Sequence) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _first_mismatch(identity: str, params: dict, actual, expected) -> IdentityReport:
-    """Compare ``actual`` with ``expected(i, j)`` at every position of its shape.
+def _entrywise(actual, expected):
+    """The pairs of ``actual`` against ``expected(i, j)`` at every position of its shape.
 
     The dense rows of ``actual``, zeros included, are walked in ascending
     row and column order over the triangle or the square, so the first
     differing position is the reported counterexample.
     """
-    for i, row in enumerate(actual.rows):
-        for j, lhs in enumerate(row):
-            rhs = expected(i, j)
-            if lhs != rhs:
-                return failing(identity, params, (i, j), scalar_to_string(lhs), scalar_to_string(rhs))
-    return passing(identity, params)
+    return (
+        ((i, j), lhs, expected(i, j), None) for i, row in enumerate(actual.rows) for j, lhs in enumerate(row)
+    )
 
 
 def check_exp_vs_closed(seq: AdmissibleSequence, n: int, x) -> IdentityReport:
     """The nilpotent exponential of the generator must equal the closed form."""
     params = {"sequence": seq.selector, "n": str(n), "x": scalar_to_string(x)}
     series = psi_exp_nilpotent(seq, k_matrix(seq, n), x)
-    return _first_mismatch("exp-vs-closed", params, series, pascal_closed(seq, n, x).entry)
+    return first_difference("exp-vs-closed", params, _entrywise(series, pascal_closed(seq, n, x).entry))
 
 
 def check_nilpotency(seq: AdmissibleSequence, n: int) -> IdentityReport:
@@ -417,21 +414,21 @@ def check_nilpotency(seq: AdmissibleSequence, n: int) -> IdentityReport:
     if power.is_zero:
         return failing("nilpotent", params, (n - 1,), "0", "nonzero", detail=f"K^{n - 1} vanished")
     power = matmul(power, matrix)
-    for i, row in enumerate(power._rows):
-        if row:
-            j = min(row)
-            return failing(
-                "nilpotent", params, (n, i, j), scalar_to_string(row[j]), "0",
-                detail=f"K^{n} has a nonzero entry",
-            )
-    return passing("nilpotent", params)
+    # K^n against zero at its stored entries, in row and then column order
+    return first_difference("nilpotent", params, (
+        ((n, i, j), v, 0, f"K^{n} has a nonzero entry")
+        for i, row in enumerate(power._rows)
+        for j, v in sorted(row.items())
+    ))
 
 
 def _check_product(seq, n, x, y, identity: str, params: dict) -> IdentityReport:
     product = matmul(pascal_closed(seq, n, x), pascal_closed(seq, n, y))
     # (x +psi y)^d for every d at once: the convolution of the two power lists
     sums = binom_convolve(seq, powers(x, n), powers(y, n))
-    return _first_mismatch(identity, params, product, lambda i, j: seq.binomial(i, j) * sums[i - j])
+    return first_difference(
+        identity, params, _entrywise(product, lambda i, j: seq.binomial(i, j) * sums[i - j])
+    )
 
 
 def check_semigroup(seq: AdmissibleSequence, n: int, x, y) -> IdentityReport:
@@ -470,7 +467,7 @@ def check_transpose_fermat(seq: AdmissibleSequence, n: int) -> IdentityReport:
     params = {"sequence": seq.selector, "n": str(n)}
     p1 = pascal_closed(seq, n, seq.field.one)
     product = matmul(p1, p1.transpose())
-    return _first_mismatch("eq6", params, product, fermat(seq, n).entry)
+    return first_difference("eq6", params, _entrywise(product, fermat(seq, n).entry))
 
 
 def _weighted_vandermonde(seq: AdmissibleSequence, identity: str, indices: dict, r, s, j):
@@ -489,10 +486,7 @@ def _weighted_vandermonde(seq: AdmissibleSequence, identity: str, indices: dict,
     seq.check_integers(r + s)
     lhs = triangle.weighted_cauchy(seq.binomial, r, s, j)
     rhs = triangle.binomial(r + s, j)
-    if lhs != rhs:
-        location = tuple(indices.values())
-        return failing(identity, params, location, scalar_to_string(lhs), scalar_to_string(rhs))
-    return passing(identity, params)
+    return first_difference(identity, params, [(tuple(indices.values()), lhs, rhs, None)])
 
 
 def check_weighted_cauchy(seq: AdmissibleSequence, i: int, j: int) -> IdentityReport:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .report import IdentityReport, failing, passing
+from .report import IdentityReport, first_difference
 from .scalars import Scalar, ScalarField, ScalarParseError, divide, field_of, scalar_to_string
 from .sequences import AdmissibleSequence, PascalTriangle, from_selector
 
@@ -158,7 +158,4 @@ def check_operator_cauchy(op: DiagOperator, i: int, j: int, m: int) -> IdentityR
     params = {"operator": op.selector, "i": str(i), "j": str(j), "m": str(m)}
     triangle = op.triangle(m)
     lhs = triangle.weighted_cauchy(triangle.binomial, i, j, j)
-    rhs = op.binomial_eigenvalue(i + j, j, m)
-    if lhs != rhs:
-        return failing("eq8", params, (i, j, m), scalar_to_string(lhs), scalar_to_string(rhs))
-    return passing("eq8", params)
+    return first_difference("eq8", params, [((i, j, m), lhs, op.binomial_eigenvalue(i + j, j, m), None)])

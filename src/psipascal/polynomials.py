@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .report import IdentityReport, failing, passing
+from .report import IdentityReport, first_difference
 from .scalars import (
     RATIONAL_FIELD,
     Scalar,
@@ -177,21 +177,13 @@ def check_sheffer_basic(seq: AdmissibleSequence, n: int, x, y) -> IdentityReport
     direct = psi_plus_power(seq, x, y, n)
     # powers by ``**``, independent of route one's power list
     expanded = seq.binomial_sum(n, [y ** k for k in range(n + 1)], [x ** k for k in range(n + 1)])
-    if direct != expanded:
-        return failing(
-            "eq11-basic", params, (n,), scalar_to_string(direct), scalar_to_string(expanded)
-        )
-    shifted = psi_shift(seq, Polynomial.monomial(n, seq.field), y)(x)
-    if direct != shifted:
-        return failing(
-            "eq11-basic",
-            params,
-            (n,),
-            scalar_to_string(direct),
-            scalar_to_string(shifted),
-            detail="shift route",
-        )
-    return passing("eq11-basic", params)
+
+    def routes():
+        yield (n,), direct, expanded, None
+        # the shift route runs only once route two agrees
+        yield (n,), direct, psi_shift(seq, Polynomial.monomial(n, seq.field), y)(x), "shift route"
+
+    return first_difference("eq11-basic", params, routes())
 
 
 def check_odd_cancellation(seq: AdmissibleSequence, a, max_k: int) -> IdentityReport:
@@ -200,8 +192,6 @@ def check_odd_cancellation(seq: AdmissibleSequence, a, max_k: int) -> IdentityRe
     Odd powers cancel for every admissible sequence; even powers need not.
     """
     params = {"sequence": seq.selector, "a": scalar_to_string(a), "max_k": str(max_k)}
-    for k in range(max_k + 1):
-        value = psi_plus_power(seq, a, -a, 2 * k + 1)
-        if value != 0:
-            return failing("odd-cancel", params, (2 * k + 1,), scalar_to_string(value), "0")
-    return passing("odd-cancel", params)
+    return first_difference("odd-cancel", params, (
+        ((2 * k + 1,), psi_plus_power(seq, a, -a, 2 * k + 1), 0, None) for k in range(max_k + 1)
+    ))

@@ -1,9 +1,11 @@
-"""Structured pass/fail reports shared by all identity checks."""
+"""Pass/fail reports of the identity checks, and the one comparison that makes them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+from .scalars import scalar_to_string
 
 
 @dataclass(frozen=True)
@@ -78,3 +80,18 @@ def failing(
     detail: Optional[str] = None,
 ) -> IdentityReport:
     return IdentityReport(identity, params, False, Counterexample(location, lhs, rhs, detail))
+
+
+def first_difference(identity: str, params: dict[str, str], pairs) -> IdentityReport:
+    """The one comparison of every identity check.
+
+    ``pairs`` yields ``(location, lhs, rhs, detail)`` in the check's fixed
+    order and is read lazily, so a side is computed only once every earlier
+    pair has agreed.  The first pair whose exact sides differ is the
+    counterexample, both sides rendered canonically; if none differs the
+    check passes.
+    """
+    for location, lhs, rhs, detail in pairs:
+        if lhs != rhs:
+            return failing(identity, params, location, scalar_to_string(lhs), scalar_to_string(rhs), detail)
+    return passing(identity, params)

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from psipascal import engine
-from psipascal.scalars import MAX_Q_EXPONENT
+from psipascal.report import first_difference
+from psipascal.scalars import MAX_Q_EXPONENT, RationalFunction
 from psipascal import (
     EXPECTED_FAIL,
     MUST_PASS,
@@ -341,3 +342,58 @@ class TestPointDegreeBudget:
         assert report.passed
         spec = engine._BY_ID["odd-cancel"]
         engine._resolve(spec, {"sequence": "classical", "n": 192, "x": "5/3"})
+
+
+class TestQPointCaps:
+    """A Q(q) point over a rational sequence makes the run Q(q), so n takes the Q(q) cap."""
+
+    # identity, the point's parameter, a Q(q) point, the Q(q) cap of n
+    ROWS = [
+        ("eq11-basic", "y", "q", 56),
+        ("semigroup", "x", "1+q", 56),
+        ("exp-vs-closed", "x", "q", 32),
+        ("odd-cancel", "x", "1+q", 56),
+    ]
+
+    @pytest.mark.parametrize("identity, key, point, cap", ROWS)
+    def test_accepted_at_the_cap_and_refused_one_past(self, identity, key, point, cap):
+        spec = engine._BY_ID[identity]
+        assert spec.caps["n"][1] == cap
+        _, echo = engine._resolve(spec, {"sequence": "classical", "n": cap, key: point})
+        assert echo["n"] == str(cap)
+        with pytest.raises(
+            InvalidParamsError, match=f"^parameter 'n' must be <= {cap} over rational-function, got {cap + 1}$"
+        ):
+            engine._resolve(spec, {"sequence": "classical", "n": cap + 1, key: point})
+
+    @pytest.mark.parametrize("identity, key, point, cap", ROWS)
+    def test_rational_and_default_points_keep_the_q_cap(self, identity, key, point, cap):
+        spec = engine._BY_ID[identity]
+        q_cap = spec.caps["n"][0]
+        engine._resolve(spec, {"sequence": "classical", "n": q_cap, key: "5/3"})
+        engine._resolve(spec, {"sequence": "classical", "n": q_cap})
+
+
+class TestFirstDifference:
+    """The one comparison: ordered pairs, read lazily, the first difference reported."""
+
+    def test_stops_at_the_first_differing_pair(self):
+        def pairs():
+            yield (0,), 1, 1, None
+            yield (1,), Fraction(1, 2), RationalFunction.generator(), "second"
+            raise AssertionError("read past the first differing pair")
+
+        report = first_difference("demo", {"n": "2"}, pairs())
+        assert not report.passed
+        assert report.params == {"n": "2"}
+        ce = report.counterexample
+        assert (ce.location, ce.lhs, ce.rhs, ce.detail) == ((1,), "1/2", "(q)/(1)", "second")
+
+    def test_passes_when_every_pair_agrees(self):
+        pairs = [((k,), Fraction(k, 2), Fraction(2 * k, 4), None) for k in range(4)]
+        report = first_difference("demo", {}, iter(pairs))
+        assert report.passed
+        assert report.counterexample is None
+
+    def test_passes_on_no_pairs(self):
+        assert first_difference("demo", {}, iter(())).passed

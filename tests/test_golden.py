@@ -9,6 +9,7 @@ counterexample or in a parameter error fails here.
 """
 
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -320,6 +321,49 @@ CAPS = [
             ("q", q_of_q_cap, "rational-function"),
         )
     ],
+    # a Q(q) point over a rational sequence takes the Q(q) cap
+    *[
+        (command + ["-s", "classical", option, point], "-n", cap, "rational-function")
+        for command, option, point, cap in (
+            (["check", "semigroup"], "--x", "1+q", 56),
+            (["check", "eq11-basic"], "--y", "q", 56),
+            (["check", "exp-vs-closed"], "--x", "q", 32),
+            (["check", "odd-cancel"], "--x", "1+q", 56),
+            (["gen", "pascal"], "--x", "1+q", 64),
+        )
+    ],
+]
+
+# `--help` of the program and of each subcommand, at an 80-column terminal
+# (argparse wraps help to the terminal width): byte size and sha256, on
+# CPython 3.10-3.12 and on 3.13, whose argparse prints the metavar of an
+# option with a short and a long flag once ("-o, --out OUT")
+HELP = [
+    (
+        [],
+        (573, "237cefc09a515a9046befa5e2ef14e87f022b0751d82a532d53775ceb5b0f3ca"),
+        (573, "237cefc09a515a9046befa5e2ef14e87f022b0751d82a532d53775ceb5b0f3ca"),
+    ),
+    (
+        ["seq"],
+        (370, "dfffa3df9eb55b1b1690d994e7705195f3d6d82e6c9bd9dfdf643deb85b84df5"),
+        (345, "974a9ff8dce477d52131942ec42929e15eedf8afbd21defc92ac7facd6035e0c"),
+    ),
+    (
+        ["gen"],
+        (558, "06646193dd74cccdf9725dfa150e06569712d3652478595f37aa490c9a06cfa5"),
+        (522, "fa2752901cf2a53d8e47df127b5b752e0126c33c43147adff4b7a174f9539d8a"),
+    ),
+    (
+        ["check"],
+        (872, "5a18ad4fa8b0d2c808f7b3821d2d0119d05b2dd394238704c84e0822d7e3e738"),
+        (822, "631b82e00689b36ea7163b50760387370a4e732465e05b9c498139e2a1b291f7"),
+    ),
+    (
+        ["suite"],
+        (277, "c58c2bfa1e9f958c2c1dd638702712a1ed5ba99e3e91da27d575bf39af84e7f8"),
+        (265, "dd451917e087f165fa7ab690598f4b626af673110bc096a8b93c9cdb7ef38d68"),
+    ),
 ]
 
 
@@ -343,6 +387,22 @@ def test_parameter_error_matches_pinned_message(argv, message):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"psipascal: error: {message}\n"
+
+
+@pytest.mark.skipif(
+    not (3, 10) <= sys.version_info[:2] <= (3, 13), reason="help layout recorded on CPython 3.10-3.13"
+)
+@pytest.mark.parametrize("argv, before_3_13, from_3_13", HELP, ids=[" ".join(h[0] + ["--help"]) for h in HELP])
+def test_help_matches_pinned_digest(argv, before_3_13, from_3_13):
+    proc = subprocess.run(
+        [sys.executable, "-m", "psipascal", *argv, "--help"],
+        capture_output=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert proc.returncode == 0
+    size, digest = from_3_13 if sys.version_info >= (3, 13) else before_3_13
+    assert len(proc.stdout) == size
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def _cap_message(argv, option, cap, field):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psipascal import polynomials
 from psipascal import (
     Polynomial,
     check_odd_cancellation,
@@ -185,6 +186,33 @@ class TestShefferBasic:
 
     def test_symbolic_arguments(self):
         assert check_sheffer_basic(q_symbolic(), 5, q, 1 - q).passed
+
+    @staticmethod
+    def _spy_on_shift(monkeypatch):
+        calls, real_shift = [], polynomials.psi_shift
+
+        def spy(*args):
+            calls.append(args)
+            return real_shift(*args)
+
+        monkeypatch.setattr(polynomials, "psi_shift", spy)
+        return calls
+
+    def test_the_shift_route_runs_once_route_two_agrees(self, monkeypatch):
+        calls = self._spy_on_shift(monkeypatch)
+        assert check_sheffer_basic(classical(), 4, Fraction(2), Fraction(1)).passed
+        assert len(calls) == 1
+
+    def test_a_route_two_failure_never_runs_the_shift_route(self, monkeypatch):
+        calls = self._spy_on_shift(monkeypatch)
+        real_power = polynomials.psi_plus_power
+        monkeypatch.setattr(polynomials, "psi_plus_power", lambda *args: real_power(*args) + 1)
+        report = check_sheffer_basic(classical(), 4, Fraction(2), Fraction(1))
+        assert not report.passed
+        assert report.counterexample.location == (4,)
+        assert report.counterexample.detail is None
+        assert (report.counterexample.lhs, report.counterexample.rhs) == ("82", "81")
+        assert calls == []
 
 
 class TestOddCancellationReport:
